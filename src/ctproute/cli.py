@@ -42,6 +42,12 @@ from .traveler import (
 )
 
 DEFAULT_REPS = 10000
+# flags, per subcommand that runs the exact planner, that avoid its cap
+CAP_HINTS = {
+    "route": "--method mc",
+    "centrality": "--method mc",
+    "simulate": "--policy replan",
+}
 
 
 def _read_text(path: str) -> str:
@@ -437,8 +443,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _HANDLERS[args.subcommand](args)
     except TooManyUncertainEdges as exc:
         print(
-            f"error: {exc} (use --method mc or --policy replan)",
-            file=sys.stderr,
+            f"error: {exc} (use {CAP_HINTS[args.subcommand]})", file=sys.stderr
         )
         return 3
     except CtprouteError as exc:

@@ -19,6 +19,16 @@ at a time, because optimal play only changes direction where new
 information arrives. Edges with probability exactly 0 or 1 are decided
 up front; the initial reveal at the start node is the zero cost frontier
 move onto the start itself.
+
+The planner first compiles (network, model, sink) into one immutable
+instance: node i is net.nodes[i] and edge b is bit b of a mask, with the
+edges of probability 0 or 1 already set in the initial known and blocked
+masks. A belief is then three ints (node, known mask, blocked mask), and
+the memo is keyed on them. Many beliefs share the inputs of their graph
+searches, so whether the sink is reachable with undecided edges assumed
+open is cached per (node, blocked mask), and the distances over known
+open edges per (node, known & ~blocked); a cache miss runs the network
+module's reachable_nodes or dijkstra_distances.
 """
 
 from __future__ import annotations
@@ -38,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .network import (
-    Edge,
+    PassableFn,
     RoadNetwork,
     cheapest_edge,
     dijkstra_distances,
@@ -123,8 +133,67 @@ class ExpectedTime:
     failure_cost: float
 
 
+@dataclass(frozen=True)
+class _Instance:
+    """A (network, model, sink) compiled for the planner.
+
+    Node i is net.nodes[i] and edge bit b is net.edges[b], so a set of
+    edges is an int mask. Edges with probability exactly 0 or 1 are
+    folded into the initial `known` and `blocked` masks.
+    """
+
+    net: RoadNetwork
+    index: Mapping[str, int]  # node name -> node id
+    bit: Mapping[str, int]  # edge id -> edge bit
+    incident: tuple[tuple[int, ...], ...]  # edge bits per node, net.incident order
+    incident_mask: tuple[int, ...]  # the same bits per node as one mask
+    probs: tuple[float, ...]  # blockage probability per edge bit
+    uncertain: int  # edges with 0 < p < 1
+    known: int
+    blocked: int
+    sink: int
+
+    def passable(self, mask: int) -> PassableFn:
+        """Edge predicate for the network routines: edge bit set in mask."""
+        bit = self.bit
+        return lambda e: mask >> bit[e.id] & 1
+
+
+def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
+    model.validate_for(net)
+    net.require_node(sink)
+    bit = {e.id: b for b, e in enumerate(net.edges)}
+    probs = tuple(model.probability(e.id) for e in net.edges)
+    uncertain = known = blocked = 0
+    for b, p in enumerate(probs):
+        if 0.0 < p < 1.0:
+            uncertain |= 1 << b
+            continue
+        known |= 1 << b
+        if p == 1.0:
+            blocked |= 1 << b
+    incident = tuple(tuple(bit[e.id] for e in net.incident[n]) for n in net.nodes)
+    return _Instance(
+        net=net,
+        index={n: i for i, n in enumerate(net.nodes)},
+        bit=bit,
+        incident=incident,
+        incident_mask=tuple(sum(1 << b for b in bits) for bits in incident),
+        probs=probs,
+        uncertain=uncertain,
+        known=known,
+        blocked=blocked,
+        sink=net.nodes.index(sink),
+    )
+
+
 class _Planner:
-    """Memoized expectimax over (current node, decided assignment)."""
+    """Memoized expectimax over beliefs (node id, known mask, blocked mask).
+
+    Many beliefs share the inputs of their graph searches, so sink
+    reachability is cached per (node, blocked mask) and open-edge
+    distances per (node, open mask); misses call the network module.
+    """
 
     def __init__(
         self,
@@ -134,35 +203,33 @@ class _Planner:
         failure_cost: float,
         uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
     ):
-        model.validate_for(net)
-        net.require_node(sink)
+        self.inst = _compile(net, model, sink)
         self.cap = int(uncertain_edge_cap)
-        self.net = net
-        self.model = model
-        self.sink = sink
         self.failure_cost = float(failure_cost)
-        # edges with p exactly 0 or 1 are never random: decide them now
-        self.predecided: dict[str, EdgeState] = {}
-        for edge_id, p in model.probabilities.items():
-            if p == 0.0:
-                self.predecided[edge_id] = EdgeState.OPEN
-            elif p == 1.0:
-                self.predecided[edge_id] = EdgeState.BLOCKED
-        self._memo: dict = {}
+        self._memo: dict[tuple[int, int, int], tuple[float, float, Optional[str]]] = {}
+        self._reach: dict[tuple[int, int], bool] = {}
+        self._dist: dict[tuple[int, int], tuple] = {}
 
-    def base_assignment(
+    def masks(
         self, observed: Optional[Mapping[str, EdgeState]] = None
-    ) -> dict[str, EdgeState]:
-        """Merge model certainties with observations; observations win."""
-        assignment = dict(self.predecided)
-        if observed:
-            for edge_id, s in observed.items():
-                if s is not EdgeState.UNKNOWN:
-                    assignment[edge_id] = s
-        return assignment
+    ) -> tuple[int, int]:
+        """(known, blocked) masks of model certainties merged with
+        observations; observations win."""
+        inst = self.inst
+        known, blocked = inst.known, inst.blocked
+        for edge_id, s in (observed or {}).items():
+            b = inst.bit.get(edge_id)
+            if b is None or s is EdgeState.UNKNOWN:
+                continue
+            known |= 1 << b
+            if s is EdgeState.BLOCKED:
+                blocked |= 1 << b
+            else:
+                blocked &= ~(1 << b)
+        return known, blocked
 
     def plan(
-        self, current: str, assignment: dict[str, EdgeState]
+        self, current: str, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
         """Cap checked entry point: value() over the remaining unknowns.
 
@@ -170,87 +237,101 @@ class _Planner:
         model's global uncertain count, so observations already made keep
         large instances plannable.
         """
-        undecided = [
-            e for e in self.model.uncertain_edges() if e not in assignment
-        ]
-        if len(undecided) > self.cap:
+        undecided = (self.inst.uncertain & ~known).bit_count()
+        if undecided > self.cap:
             raise TooManyUncertainEdges(
-                f"{len(undecided)} uncertain edges exceed the cap of "
-                f"{self.cap}"
+                f"{undecided} uncertain edges exceed the cap of {self.cap}"
             )
-        return self.value(current, assignment)
+        return self.value(self.inst.index[current], known, blocked)
 
     def value(
-        self, current: str, assignment: dict[str, EdgeState]
+        self, node: int, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
         """Expected remaining time, failure probability, best target.
 
         Target None means abort: failure is already certain here.
         """
-        key = (current, tuple(sorted((e, s.value) for e, s in assignment.items())))
+        key = (node, known, blocked)
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._compute(current, assignment)
-        self._memo[key] = result
-        return result
+        if hit is None:
+            hit = self._memo[key] = self._compute(node, known, blocked)
+        return hit
 
     def _compute(
-        self, current: str, assignment: dict[str, EdgeState]
+        self, node: int, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
-        if current == self.sink:
+        inst = self.inst
+        if node == inst.sink:
             return 0.0, 0.0, None
-        optimistic = reachable_nodes(
-            self.net,
-            current,
-            lambda e: assignment.get(e.id) is not EdgeState.BLOCKED,
-        )
-        if self.sink not in optimistic:
+        if not self._sink_reachable(node, blocked):
             # certain failure no matter which states the unknowns take
             return self.failure_cost, 1.0, None
 
-        open_dist = dijkstra_distances(
-            self.net, current, lambda e: assignment.get(e.id) is EdgeState.OPEN
-        )
+        names = inst.net.nodes
+        sink_dist, open_dist = self._open_distances(node, known & ~blocked)
         options: list[tuple[float, str, float]] = []
-        sink_dist = open_dist.get(self.sink)
         if sink_dist is not None:
-            options.append((sink_dist, self.sink, 0.0))
-        for node in self.net.nodes:
-            if node == self.sink or node not in open_dist:
+            options.append((sink_dist, names[inst.sink], 0.0))
+        for other, dist in open_dist:
+            if not inst.incident_mask[other] & ~known:
                 continue
-            undecided = [
-                e for e in self.net.incident[node] if e.id not in assignment
-            ]
-            if not undecided:
-                continue
-            ev, ef = self._reveal_expectation(node, assignment, undecided)
-            options.append((open_dist[node] + ev, node, ef))
+            undecided = [b for b in inst.incident[other] if not known >> b & 1]
+            ev, ef = self._reveal_expectation(other, known, blocked, undecided)
+            options.append((dist + ev, names[other], ef))
 
         if not options:
             return self.failure_cost, 1.0, None
-        value, target, fail = min(options, key=lambda o: (o[0], o[1]))
+        # node names are distinct, so tuple order is (value, name)
+        value, target, fail = min(options)
         return value, fail, target
 
+    def _sink_reachable(self, node: int, blocked: int) -> bool:
+        """Whether the sink is reachable with every unblocked edge open."""
+        key = (node, blocked)
+        hit = self._reach.get(key)
+        if hit is None:
+            inst = self.inst
+            names = inst.net.nodes
+            reach = reachable_nodes(inst.net, names[node], inst.passable(~blocked))
+            hit = self._reach[key] = names[inst.sink] in reach
+        return hit
+
+    def _open_distances(
+        self, node: int, open_mask: int
+    ) -> tuple[Optional[float], tuple[tuple[int, float], ...]]:
+        """Distance to the sink (None if unreachable) and (node id,
+        distance) of every other reachable node, in node id order."""
+        key = (node, open_mask)
+        hit = self._dist.get(key)
+        if hit is None:
+            inst = self.inst
+            names = inst.net.nodes
+            dist = dijkstra_distances(inst.net, names[node], inst.passable(open_mask))
+            others = tuple(
+                (i, dist[n])
+                for i, n in enumerate(names)
+                if i != inst.sink and n in dist
+            )
+            hit = self._dist[key] = (dist.get(names[inst.sink]), others)
+        return hit
+
     def _reveal_expectation(
-        self,
-        node: str,
-        assignment: dict[str, EdgeState],
-        undecided: Sequence[Edge],
+        self, node: int, known: int, blocked: int, undecided: Sequence[int]
     ) -> tuple[float, float]:
-        ids = [e.id for e in undecided]
-        probs = [self.model.probability(i) for i in ids]
+        probs = [self.inst.probs[b] for b in undecided]
+        known |= self.inst.incident_mask[node]
         total_v = 0.0
         total_f = 0.0
-        for outcome in itertools.product(
-            (EdgeState.OPEN, EdgeState.BLOCKED), repeat=len(ids)
-        ):
+        for outcome in itertools.product((False, True), repeat=len(undecided)):
             weight = 1.0
-            for p, s in zip(probs, outcome):
-                weight *= p if s is EdgeState.BLOCKED else 1.0 - p
-            child = dict(assignment)
-            child.update(zip(ids, outcome))
-            v, f, _ = self.value(node, child)
+            child_blocked = blocked
+            for p, b, is_blocked in zip(probs, undecided, outcome):
+                if is_blocked:
+                    weight *= p
+                    child_blocked |= 1 << b
+                else:
+                    weight *= 1.0 - p
+            v, f, _ = self.value(node, known, child_blocked)
             total_v += weight * v
             total_f += weight * f
         return total_v, total_f
@@ -278,7 +359,7 @@ def exact_expected_time(
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
     planner = _Planner(net, model, sink, failure_cost, uncertain_edge_cap)
-    value, fail, _ = planner.plan(source, planner.base_assignment())
+    value, fail, _ = planner.plan(source, *planner.masks())
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
     )
@@ -305,8 +386,7 @@ def optimal_action(
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
     planner = _Planner(net, model, sink, failure_cost, uncertain_edge_cap)
-    assignment = planner.base_assignment(knowledge.states)
-    _, _, target = planner.plan(knowledge.current, assignment)
+    _, _, target = planner.plan(knowledge.current, *planner.masks(knowledge.states))
     return target
 
 
@@ -324,23 +404,17 @@ class Policy:
         raise NotImplementedError
 
 
-def _first_open_step(
-    net: RoadNetwork, k: KnowledgeState, path_nodes: Sequence[str]
-) -> str:
-    """Edge id for the first hop of a path; must already be known open."""
-    nxt = path_nodes[1]
-    best: Optional[Edge] = None
-    for e in net.outgoing[k.current]:
-        if e.other(k.current) != nxt or k.state(e.id) is not EdgeState.OPEN:
-            continue
-        if best is None or (e.cost, e.id) < (best.cost, best.id):
-            best = e
-    if best is None:
+def _known_open_step(net: RoadNetwork, k: KnowledgeState, nxt: str) -> str:
+    """Edge id of the cheapest known open edge from k.current to nxt."""
+    edge = cheapest_edge(
+        net, k.current, nxt, lambda e: k.state(e.id) is EdgeState.OPEN
+    )
+    if edge is None:
         raise ValidationError(
             f"no known open edge from {k.current!r} to {nxt!r}; "
             "knowledge state is inconsistent"
         )
-    return best.id
+    return edge.id
 
 
 class OptimalPolicy(Policy):
@@ -365,8 +439,8 @@ class OptimalPolicy(Policy):
         key = (k.current, k.decided_items())
         if key in self._cache:
             return self._cache[key]
-        assignment = self._planner.base_assignment(k.states)
-        _, _, target = self._planner.plan(k.current, assignment)
+        known, blocked = self._planner.masks(k.states)
+        _, _, target = self._planner.plan(k.current, known, blocked)
         if target is None:
             step = None
         else:
@@ -378,11 +452,11 @@ class OptimalPolicy(Policy):
                 self.net,
                 k.current,
                 target,
-                lambda e: assignment.get(e.id) is EdgeState.OPEN,
+                self._planner.inst.passable(known & ~blocked),
             )
             if path is None:
                 raise ValidationError("planner chose an unreachable target")
-            step = _first_open_step(self.net, k, path.nodes)
+            step = _known_open_step(self.net, k, path.nodes[1])
         self._cache[key] = step
         return step
 
@@ -412,7 +486,7 @@ class ReplanGreedyPolicy(Policy):
             self.sink,
             lambda e: k.state(e.id) is not EdgeState.BLOCKED,
         )
-        step = None if path is None else _first_open_step(self.net, k, path.nodes)
+        step = None if path is None else _known_open_step(self.net, k, path.nodes[1])
         self._cache[key] = step
         return step
 
@@ -465,8 +539,7 @@ class FixedRoutePolicy(Policy):
             return self._cache[key]
         i = self._index.get(k.current)
         if i is not None and i < len(self.route) - 1 and self._remaining_clean(k, i):
-            path = (k.current, self.route[i + 1])
-            step: Optional[str] = _first_open_step(self.net, k, path)
+            step: Optional[str] = _known_open_step(self.net, k, self.route[i + 1])
         else:
             step = self._greedy.decide(k)
         self._cache[key] = step

@@ -5,19 +5,30 @@ Everything here recomputes results by the most literal method available
 realizations and of simple paths instead of recursions over belief
 states or Brandes accumulation — so agreement with the package is
 evidence, not circularity. Only undirected networks are supported,
-which covers every fixture and every generated instance.
+which covers every fixture and every default generated instance.
+
+The exception is ReferencePlanner, the exact planner as it was written
+before belief states became bitmasks. It reuses the package's graph
+searches and keeps the planner's arithmetic order, so the package must
+match it bit for bit, on directed networks too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import Optional
 
 import numpy as np
 
 from ctproute.blockage import BlockageModel, EdgeState, Realization
-from ctproute.network import Edge, RoadNetwork
-from ctproute.traveler import walk_policy
+from ctproute.network import (
+    Edge,
+    RoadNetwork,
+    dijkstra_distances,
+    reachable_nodes,
+)
+from ctproute.traveler import KnowledgeState, walk_policy
 
 OPEN = "open"
 BLOCKED = "blocked"
@@ -108,6 +119,124 @@ def oracle_expected_time(
         return best
 
     return value(source, frozenset(base.items()))
+
+
+class ReferencePlanner:
+    """Memoized expectimax over (current node, dict of decided edge states).
+
+    Edges with probability exactly 0 or 1 are decided up front and
+    observations outrank them. Options are the sink over known-open
+    edges, then every reachable frontier node in network order; ties go
+    to the smaller node id. A reveal enumerates its outcomes with open
+    before blocked, in incident-edge order.
+    """
+
+    def __init__(
+        self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
+    ):
+        self.net = net
+        self.model = model
+        self.sink = sink
+        self.failure_cost = float(failure_cost)
+        self.predecided: dict[str, EdgeState] = {}
+        for edge_id, p in model.probabilities.items():
+            if p == 0.0:
+                self.predecided[edge_id] = EdgeState.OPEN
+            elif p == 1.0:
+                self.predecided[edge_id] = EdgeState.BLOCKED
+        self._memo: dict = {}
+
+    def base_assignment(self, observed=None) -> dict[str, EdgeState]:
+        assignment = dict(self.predecided)
+        for edge_id, s in (observed or {}).items():
+            if s is not EdgeState.UNKNOWN:
+                assignment[edge_id] = s
+        return assignment
+
+    def value(self, current: str, assignment: dict) -> tuple:
+        key = (current, tuple(sorted((e, s.value) for e, s in assignment.items())))
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        result = self._compute(current, assignment)
+        self._memo[key] = result
+        return result
+
+    def _compute(self, current: str, assignment: dict) -> tuple:
+        if current == self.sink:
+            return 0.0, 0.0, None
+        optimistic = reachable_nodes(
+            self.net,
+            current,
+            lambda e: assignment.get(e.id) is not EdgeState.BLOCKED,
+        )
+        if self.sink not in optimistic:
+            return self.failure_cost, 1.0, None
+        open_dist = dijkstra_distances(
+            self.net, current, lambda e: assignment.get(e.id) is EdgeState.OPEN
+        )
+        options = []
+        sink_dist = open_dist.get(self.sink)
+        if sink_dist is not None:
+            options.append((sink_dist, self.sink, 0.0))
+        for node in self.net.nodes:
+            if node == self.sink or node not in open_dist:
+                continue
+            undecided = [
+                e for e in self.net.incident[node] if e.id not in assignment
+            ]
+            if not undecided:
+                continue
+            ev, ef = self._reveal_expectation(node, assignment, undecided)
+            options.append((open_dist[node] + ev, node, ef))
+        if not options:
+            return self.failure_cost, 1.0, None
+        value, target, fail = min(options, key=lambda o: (o[0], o[1]))
+        return value, fail, target
+
+    def _reveal_expectation(self, node: str, assignment: dict, undecided) -> tuple:
+        ids = [e.id for e in undecided]
+        probs = [self.model.probability(i) for i in ids]
+        total_v = 0.0
+        total_f = 0.0
+        for outcome in itertools.product(
+            (EdgeState.OPEN, EdgeState.BLOCKED), repeat=len(ids)
+        ):
+            weight = 1.0
+            for p, s in zip(probs, outcome):
+                weight *= p if s is EdgeState.BLOCKED else 1.0 - p
+            child = dict(assignment)
+            child.update(zip(ids, outcome))
+            v, f, _ = self.value(node, child)
+            total_v += weight * v
+            total_f += weight * f
+        return total_v, total_f
+
+
+def reference_expected_time(
+    net: RoadNetwork,
+    model: BlockageModel,
+    source: str,
+    sink: str,
+    failure_cost: float,
+) -> tuple[float, float]:
+    """(expected time, failure probability) from ReferencePlanner."""
+    planner = ReferencePlanner(net, model, sink, failure_cost)
+    value, fail, _ = planner.value(source, planner.base_assignment())
+    return value, fail
+
+
+def reference_action(
+    net: RoadNetwork,
+    model: BlockageModel,
+    knowledge: KnowledgeState,
+    sink: str,
+    failure_cost: float,
+) -> Optional[str]:
+    """Best target from a knowledge state according to ReferencePlanner."""
+    planner = ReferencePlanner(net, model, sink, failure_cost)
+    assignment = planner.base_assignment(knowledge.states)
+    return planner.value(knowledge.current, assignment)[2]
 
 
 def enumerate_worlds(model: BlockageModel, overrides: dict | None = None):
@@ -231,8 +360,11 @@ def random_instance(
     max_nodes: int = 6,
     max_uncertain: int = 8,
     certain_tree: bool = False,
+    directed: bool = False,
+    parallel: bool = False,
+    certain_blocked: bool = False,
 ):
-    """Small random undirected instance: (net, model, source, sink).
+    """Small random instance: (net, model, source, sink).
 
     Costs are uniform in [1, 10]; a random subset of at most
     max_uncertain edges gets a uniform blockage probability in [0, 1],
@@ -249,6 +381,13 @@ def random_instance(
     instances it can be negative: an open edge can lure the traveler
     into paying more travel before near-certain failure, while the
     blocked twin reaches certain failure sooner and stops.
+
+    The remaining flags are off by default and draw nothing from the
+    generator when off, so default instances never change. directed=True
+    reads every edge one way, u to v. parallel=True adds a twin with its
+    own cost to a random nonempty subset of the edges. certain_blocked=True
+    turns about a quarter of the certainly open edges into certainly
+    blocked ones (p = 1.0).
     """
     gen = np.random.default_rng(seed)
     n = int(gen.integers(2, max_nodes + 1))
@@ -272,7 +411,13 @@ def random_instance(
     for _ in range(extra):
         u, v = gen.choice(n, size=2, replace=False)
         add_edge(nodes[int(u)], nodes[int(v)])
-    net = RoadNetwork(nodes=nodes, edges=tuple(edges))
+    if parallel:
+        twins = gen.choice(
+            len(edges), size=int(gen.integers(1, len(edges) + 1)), replace=False
+        )
+        for i in twins:
+            add_edge(edges[int(i)].u, edges[int(i)].v)
+    net = RoadNetwork(nodes=nodes, edges=tuple(edges), directed=directed)
 
     candidates = [
         i for i in range(len(edges)) if not (certain_tree and i < n - 1)
@@ -289,6 +434,10 @@ def random_instance(
     probs = {}
     for idx, e in enumerate(edges):
         probs[e.id] = float(np.round(gen.uniform(), 3)) if idx in chosen else 0.0
+    if certain_blocked:
+        for e in edges:
+            if probs[e.id] == 0.0 and gen.uniform() < 0.25:
+                probs[e.id] = 1.0
     model = BlockageModel(probabilities=probs)
 
     source, sink = (nodes[int(i)] for i in gen.choice(n, size=2, replace=False))

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from ctproute.blockage import BetaVector, blockage_probabilities, read_covariates_csv
-from ctproute.cli import main
+from ctproute.cli import CAP_HINTS, build_parser, main
 from ctproute.traveler import exact_expected_time
 
 TRI_DOC = json.dumps(
@@ -58,6 +58,20 @@ WIDE_DOC = json.dumps(
         "edges": [
             {"id": f"e{i:02d}", "u": "S", "v": "T", "cost": 1.0 + i, "p": 0.5}
             for i in range(21)
+        ],
+    }
+)
+
+# S reaches 22 uncertain M-T roads only after a certain first hop, so the
+# optimal policy meets the planner cap at its first decision, and exact
+# centrality still has 21 free roads once it conditions one of them
+DEEP_DOC = json.dumps(
+    {
+        "nodes": ["S", "M", "T"],
+        "edges": [{"id": "sm", "u": "S", "v": "M", "cost": 1.0, "p": 0.0}]
+        + [
+            {"id": f"e{i:02d}", "u": "M", "v": "T", "cost": 1.0 + i, "p": 0.5}
+            for i in range(22)
         ],
     }
 )
@@ -225,6 +239,29 @@ class TestRoute:
         assert rc == 3
         assert "21 uncertain edges exceed the cap of 20" in err
         assert "use --method mc" in err
+
+    @pytest.mark.parametrize("subcommand", sorted(CAP_HINTS))
+    def test_cap_hint_names_the_subcommands_own_flags(
+        self, capsys, tmp_path, subcommand
+    ):
+        graph = tmp_path / "g.json"
+        graph.write_text(DEEP_DOC, encoding="utf-8")
+        rc, out, err = run(
+            capsys,
+            [
+                subcommand, "--graph", str(graph), "--source", "S",
+                "--sink", "T", "--output", str(tmp_path / "out"),
+            ],
+        )
+        assert rc == 3 and out == ""
+        assert err.rstrip().endswith(f"(use {CAP_HINTS[subcommand]})")
+
+    @pytest.mark.parametrize("subcommand", sorted(CAP_HINTS))
+    def test_every_cap_hint_flag_is_accepted(self, subcommand):
+        flag, value = CAP_HINTS[subcommand].split()
+        graph_flags = ["--graph", "g.json", "--source", "S", "--sink", "T"]
+        args = build_parser().parse_args([subcommand, *graph_flags, flag, value])
+        assert getattr(args, flag[2:]) == value
 
     def test_mc_handles_many_uncertain_edges(self, capsys, tmp_path):
         graph = tmp_path / "wide.json"

@@ -636,3 +636,44 @@ def test_optimal_never_exceeds_greedy(seed):
         net, model, ReplanGreedyPolicy(net, sink), source, sink, fc
     )
     assert optimal.value <= greedy.value + 1e-9
+
+
+PLANNER_VARIANTS = {
+    "default": {},
+    "directed": {"directed": True},
+    "certain_blocked": {"certain_blocked": True},
+    "parallel": {"parallel": True},
+    "all": {"directed": True, "parallel": True, "certain_blocked": True},
+}
+
+
+def _contradicting(model, world):
+    """The world with every p = 0 or 1 edge in the opposite state."""
+    states = dict(world.states)
+    for edge_id, p in model.probabilities.items():
+        if p == 0.0:
+            states[edge_id] = EdgeState.BLOCKED
+        elif p == 1.0:
+            states[edge_id] = EdgeState.OPEN
+    return oracles.Realization(states=states)
+
+
+@pytest.mark.parametrize("variant", PLANNER_VARIANTS)
+def test_planner_matches_reference_bit_for_bit(variant):
+    for seed in range(40):
+        net, model, source, sink = oracles.random_instance(
+            seed, **PLANNER_VARIANTS[variant]
+        )
+        fc = default_failure_cost(net)
+        got = exact_expected_time(net, model, source, sink)
+        want = oracles.reference_expected_time(net, model, source, sink, fc)
+        assert (got.value, got.failure_probability) == want
+        for stream in range(2):
+            world = sample_realization(model, seed, stream=stream)
+            for w in (world, _contradicting(model, world)):
+                recorder = _RecordingPolicy(OptimalPolicy(net, model, sink, fc))
+                walk_policy(net, w, recorder, source, sink, fc)
+                for k in recorder.snapshots:
+                    assert optimal_action(
+                        net, model, k, sink
+                    ) == oracles.reference_action(net, model, k, sink, fc)
