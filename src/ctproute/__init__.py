@@ -28,7 +28,6 @@ from .centrality import (
     CentralityTable,
     canadian_betweenness,
     canadian_betweenness_all,
-    geodesic_edge_betweenness,
     geodesic_scores,
     write_centrality_csv,
 )
@@ -127,7 +126,6 @@ __all__ = [
     "exact_expected_time",
     "fit_prior",
     "fresh_knowledge",
-    "geodesic_edge_betweenness",
     "geodesic_scores",
     "inverse_logit",
     "load_network",

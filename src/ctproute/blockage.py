@@ -155,27 +155,44 @@ class Realization:
             raise UnknownEdge(f"realization has no edge {edge_id!r}")
 
 
+def expit(logits: "np.ndarray | float") -> np.ndarray:
+    """Elementwise logistic function, exact at extreme logits instead of
+    overflowing."""
+    # np.where still evaluates the branch that is thrown away, so both the
+    # overflow and the resulting inf/inf warnings are expected noise here
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(
+            logits >= 0,
+            1.0 / (1.0 + np.exp(-logits)),
+            np.exp(logits) / (1.0 + np.exp(logits)),
+        )
+
+
 def blockage_probabilities(Z: CovariateMatrix, beta: BetaVector) -> BlockageModel:
     """Logistic model probabilities, keyed by the matrix row edge ids."""
     if Z.k != beta.values.size:
         raise DimensionMismatch(
             f"covariates have {Z.k} columns but beta has {beta.values.size} entries"
         )
-    logits = Z.values @ beta.values
-    # expit written to stay exact at extreme logits instead of overflowing;
-    # np.where still evaluates the branch that is thrown away, so both the
-    # overflow and the resulting inf/inf warnings are expected noise here
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs = np.where(
-            logits >= 0,
-            1.0 / (1.0 + np.exp(-logits)),
-            np.exp(logits) / (1.0 + np.exp(logits)),
-        )
+    probs = expit(Z.values @ beta.values)
     return BlockageModel(
         probabilities={e: float(p) for e, p in zip(Z.edge_ids, probs)},
         covariates=Z,
         beta=beta,
     )
+
+
+def checked_overrides(
+    model: BlockageModel, overrides: Optional[Mapping[str, EdgeState]]
+) -> dict[str, EdgeState]:
+    """Overrides as a dict, each naming a model edge and open or blocked."""
+    overrides = dict(overrides or {})
+    for edge_id, s in overrides.items():
+        if edge_id not in model.probabilities:
+            raise UnknownEdge(f"override for unknown edge {edge_id!r}")
+        if s not in (EdgeState.OPEN, EdgeState.BLOCKED):
+            raise ValidationError("override state must be open or blocked")
+    return overrides
 
 
 def sample_realization(
@@ -193,12 +210,7 @@ def sample_realization(
     every non overridden edge state. `stream` selects the replicate
     substream, see the rng module for the split rule.
     """
-    overrides = dict(overrides or {})
-    for edge_id, s in overrides.items():
-        if edge_id not in model.probabilities:
-            raise UnknownEdge(f"override for unknown edge {edge_id!r}")
-        if s not in (EdgeState.OPEN, EdgeState.BLOCKED):
-            raise ValidationError("override state must be open or blocked")
+    overrides = checked_overrides(model, overrides)
     edge_ids = list(model.probabilities)
     gen = rng.substream(seed, rng.REALIZATIONS, stream)
     uniforms = gen.random(len(edge_ids))

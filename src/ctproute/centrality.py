@@ -19,11 +19,10 @@ each edge, with equal splitting across ties and no normalization.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .errors import (
     UnknownEdge,
     ValidationError,
 )
-from .network import RoadNetwork
+from .network import RoadNetwork, dijkstra_distances
 from .render import fmt
 from .traveler import (
     DEFAULT_UNCERTAIN_EDGE_CAP,
@@ -65,14 +64,8 @@ class CbcResult:
 
 
 @dataclass(frozen=True)
-class GeodesicScore:
-    edge_id: str
-    score: float
-
-
-@dataclass(frozen=True)
 class CentralityTable:
-    rows: tuple[Union[CbcResult, GeodesicScore], ...]
+    rows: tuple[CbcResult, ...]
     source: Optional[str] = None
     sink: Optional[str] = None
     config: dict = field(default_factory=dict)
@@ -251,25 +244,11 @@ def geodesic_scores(net: RoadNetwork) -> dict[str, float]:
     """
     scores = {e.id: 0.0 for e in net.edges}
     for s in net.nodes:
-        dist = {s: 0.0}
-        heap: list[tuple[float, str]] = [(0.0, s)]
-        done: set[str] = set()
-        order: list[str] = []
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            order.append(node)
-            for e in net.outgoing[node]:
-                other = e.other(node)
-                nd = d + e.cost
-                if nd < dist.get(other, math.inf):
-                    dist[other] = nd
-                    heapq.heappush(heap, (nd, other))
-
+        dist = dijkstra_distances(net, s)
         # path counts in increasing distance order; costs are positive so
-        # equal distance nodes never feed each other
+        # equal distance nodes never feed each other. (distance, node) is
+        # also the order in which Dijkstra settles them.
+        order = sorted(dist, key=lambda n: (dist[n], n))
         sigma = {node: 0.0 for node in order}
         sigma[s] = 1.0
         preds: dict[str, list[tuple[str, str]]] = {node: [] for node in order}
@@ -299,14 +278,6 @@ def geodesic_scores(net: RoadNetwork) -> dict[str, float]:
     return scores
 
 
-def geodesic_edge_betweenness(net: RoadNetwork) -> CentralityTable:
-    scores = geodesic_scores(net)
-    rows = tuple(
-        GeodesicScore(edge_id=e, score=scores[e]) for e in sorted(scores)
-    )
-    return CentralityTable(rows=rows, config={"baseline": "geodesic"})
-
-
 CSV_HEADER = (
     "edge_id,mode,method,e_t_blocked,e_t_open,cbc,"
     "p_fail_blocked,p_fail_open,se_blocked,se_open"
@@ -328,8 +299,6 @@ def write_centrality_csv(
         header.append("geodesic")
     writer.writerow(header)
     for row in table.rows:
-        if not isinstance(row, CbcResult):
-            raise ValidationError("CSV output expects blockage centrality rows")
         record = [
             row.edge_id,
             row.mode,

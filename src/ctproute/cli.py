@@ -269,7 +269,7 @@ def _expert_logits(
 
     vectors = []
     if form == "point":
-        P, idx = to_logits(elicit_mod.read_expert_point_csv(expert_text))
+        P, idx = to_logits(read_probabilities_csv(expert_text))
         note_clamped(idx)
         vectors.append(P)
     else:

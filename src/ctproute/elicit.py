@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .blockage import CovariateMatrix
+from .blockage import CovariateMatrix, expit
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -92,10 +92,7 @@ def logit(p: float, eps: float = DEFAULT_EPS) -> float:
 
 
 def inverse_logit(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+    return float(expit(x))
 
 
 def logits_from_probabilities(
@@ -261,14 +258,7 @@ def pushforward_probabilities(
         raise DimensionMismatch(
             f"draws have shape {draws.shape}, want (m, {Z.k})"
         )
-    logits = Z.values @ draws.T
-    # the discarded np.where branch may overflow or form inf/inf; harmless
-    with np.errstate(over="ignore", invalid="ignore"):
-        probs = np.where(
-            logits >= 0,
-            1.0 / (1.0 + np.exp(-logits)),
-            np.exp(logits) / (1.0 + np.exp(logits)),
-        )
+    probs = expit(Z.values @ draws.T)
     q05, q50, q95 = np.quantile(probs, (0.05, 0.5, 0.95), axis=1)
     return tuple(
         RoadProbabilitySummary(
@@ -280,27 +270,6 @@ def pushforward_probabilities(
         )
         for i, edge_id in enumerate(Z.edge_ids)
     )
-
-
-def read_expert_point_csv(text: str) -> dict[str, float]:
-    """Parse `edge_id,p` rows into an ordered probability map."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or [c.strip() for c in rows[0]] != ["edge_id", "p"]:
-        raise ParseError("expert CSV must have header edge_id,p")
-    out: dict[str, float] = {}
-    for row in rows[1:]:
-        if len(row) != 2:
-            raise ParseError(f"bad expert row: {row}")
-        edge_id = row[0].strip()
-        try:
-            p = float(row[1])
-        except ValueError:
-            raise ParseError(f"expert probability for {edge_id!r} is not a number")
-        if edge_id in out:
-            raise ValidationError(f"duplicate expert row for {edge_id!r}")
-        out[edge_id] = p
-    return out
 
 
 def read_expert_draws_csv(text: str) -> dict[str, dict[str, float]]:

@@ -86,6 +86,12 @@ class RoadNetwork:
         return {e.id: e for e in self.edges}
 
     @cached_property
+    def edge_bit(self) -> dict[str, int]:
+        """Edge id -> bit position; edge b is self.edges[b], so a set of
+        edges is an int mask."""
+        return {e.id: b for b, e in enumerate(self.edges)}
+
+    @cached_property
     def outgoing(self) -> dict[str, tuple[Edge, ...]]:
         """Edges traversable away from each node (both ways if undirected)."""
         adj: dict[str, list[Edge]] = {n: [] for n in self.nodes}

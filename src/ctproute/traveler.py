@@ -20,15 +20,22 @@ information arrives. Edges with probability exactly 0 or 1 are decided
 up front; the initial reveal at the start node is the zero cost frontier
 move onto the start itself.
 
-The planner first compiles (network, model, sink) into one immutable
-instance: node i is net.nodes[i] and edge b is bit b of a mask, with the
-edges of probability 0 or 1 already set in the initial known and blocked
-masks. A belief is then three ints (node, known mask, blocked mask), and
-the memo is keyed on them. Many beliefs share the inputs of their graph
-searches, so whether the sink is reachable with undecided edges assumed
-open is cached per (node, blocked mask), and the distances over known
-open edges per (node, known & ~blocked); a cache miss runs the network
-module's reachable_nodes or dijkstra_distances.
+The planner, the policies, the walk and the exact policy evaluator share
+one belief representation. Edge b is bit b of a mask (net.edge_bit), and
+a KnowledgeState is the current node plus two ints: the edges observed so
+far and, among them, the edges observed blocked. A reveal ORs bits into
+both masks, and every memo and policy cache is keyed on (node, known,
+blocked). The knowledge holds observations only: the planner folds the
+edges of probability 0 or 1 in when it plans, with observations winning,
+so policies that do not plan never act on a model certainty.
+
+The planner compiles (network, model, sink) into one immutable instance:
+node i is net.nodes[i], and the edges of probability 0 or 1 are already
+set in the initial known and blocked masks. Many beliefs share the inputs
+of their graph searches, so whether the sink is reachable with undecided
+edges assumed open is cached per (node, blocked mask), and the distances
+over known open edges per (node, known & ~blocked); a cache miss runs the
+network module's reachable_nodes or dijkstra_distances.
 """
 
 from __future__ import annotations
@@ -40,7 +47,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .blockage import BlockageModel, EdgeState, Realization, sample_realization
+from .blockage import (
+    BlockageModel,
+    EdgeState,
+    Realization,
+    checked_overrides,
+    sample_realization,
+)
 from .errors import (
     BadRoute,
     TooManyUncertainEdges,
@@ -48,6 +61,7 @@ from .errors import (
     ValidationError,
 )
 from .network import (
+    Edge,
     PassableFn,
     RoadNetwork,
     cheapest_edge,
@@ -66,64 +80,58 @@ def default_failure_cost(net: RoadNetwork) -> float:
 
 @dataclass(frozen=True)
 class KnowledgeState:
-    """What the traveler knows: position, visited nodes, per edge state."""
+    """What the traveler has observed: its position and two edge masks.
+
+    Edge b is bit b of net.edges (net.edge_bit). `known` holds the bits of
+    the edges observed so far, `blocked` those of them observed blocked.
+    """
 
     net: RoadNetwork
     current: str
-    visited: frozenset[str]
-    states: Mapping[str, EdgeState]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", dict(self.states))
+    known: int
+    blocked: int
 
     def state(self, edge_id: str) -> EdgeState:
-        try:
-            return self.states[edge_id]
-        except KeyError:
+        b = self.net.edge_bit.get(edge_id)
+        if b is None:
             raise UnknownEdge(f"knowledge has no edge {edge_id!r}")
-
-    def decided_items(self) -> tuple[tuple[str, str], ...]:
-        """Canonical, hashable view of the decided edges."""
-        return tuple(
-            sorted(
-                (e, s.value)
-                for e, s in self.states.items()
-                if s is not EdgeState.UNKNOWN
-            )
-        )
+        if not self.known >> b & 1:
+            return EdgeState.UNKNOWN
+        return EdgeState.BLOCKED if self.blocked >> b & 1 else EdgeState.OPEN
 
     def moved_to(self, node: str) -> "KnowledgeState":
         self.net.require_node(node)
-        return KnowledgeState(
-            net=self.net, current=node, visited=self.visited, states=self.states
-        )
+        return KnowledgeState(self.net, node, self.known, self.blocked)
 
 
 def fresh_knowledge(net: RoadNetwork, start: str) -> KnowledgeState:
-    """Pre reveal state: nothing visited, every edge unknown."""
+    """Pre reveal state: every edge unknown."""
     net.require_node(start)
-    return KnowledgeState(
-        net=net,
-        current=start,
-        visited=frozenset(),
-        states={e.id: EdgeState.UNKNOWN for e in net.edges},
-    )
+    return KnowledgeState(net, start, 0, 0)
 
 
 def reveal(k: KnowledgeState, node: str, world: Realization) -> KnowledgeState:
-    """Mark node visited and set its undecided incident edges from world.
+    """Set node's undecided incident edges from world.
 
-    Idempotent: re revealing an already visited node changes nothing,
-    and already decided edges are never rewritten.
+    Idempotent: re revealing a node changes nothing, and already decided
+    edges are never rewritten.
     """
-    k.net.require_node(node)
-    states = dict(k.states)
-    for e in k.net.incident[node]:
-        if states[e.id] is EdgeState.UNKNOWN:
-            states[e.id] = world.state(e.id)
-    return KnowledgeState(
-        net=k.net, current=k.current, visited=k.visited | {node}, states=states
-    )
+    net = k.net
+    net.require_node(node)
+    known, blocked = k.known, k.blocked
+    for e in net.incident[node]:
+        bit = 1 << net.edge_bit[e.id]
+        if not known & bit:
+            known |= bit
+            if world.state(e.id) is EdgeState.BLOCKED:
+                blocked |= bit
+    return KnowledgeState(net, k.current, known, blocked)
+
+
+def _in_mask(net: RoadNetwork, mask: int) -> PassableFn:
+    """Edge predicate for the network routines: edge bit set in mask."""
+    bit = net.edge_bit
+    return lambda e: mask >> bit[e.id] & 1
 
 
 @dataclass(frozen=True)
@@ -137,14 +145,13 @@ class ExpectedTime:
 class _Instance:
     """A (network, model, sink) compiled for the planner.
 
-    Node i is net.nodes[i] and edge bit b is net.edges[b], so a set of
-    edges is an int mask. Edges with probability exactly 0 or 1 are
-    folded into the initial `known` and `blocked` masks.
+    Node i is net.nodes[i] and edge bit b is net.edges[b]. Edges with
+    probability exactly 0 or 1 are folded into the initial `known` and
+    `blocked` masks.
     """
 
     net: RoadNetwork
     index: Mapping[str, int]  # node name -> node id
-    bit: Mapping[str, int]  # edge id -> edge bit
     incident: tuple[tuple[int, ...], ...]  # edge bits per node, net.incident order
     incident_mask: tuple[int, ...]  # the same bits per node as one mask
     probs: tuple[float, ...]  # blockage probability per edge bit
@@ -153,16 +160,11 @@ class _Instance:
     blocked: int
     sink: int
 
-    def passable(self, mask: int) -> PassableFn:
-        """Edge predicate for the network routines: edge bit set in mask."""
-        bit = self.bit
-        return lambda e: mask >> bit[e.id] & 1
-
 
 def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
     model.validate_for(net)
     net.require_node(sink)
-    bit = {e.id: b for b, e in enumerate(net.edges)}
+    bit = net.edge_bit
     probs = tuple(model.probability(e.id) for e in net.edges)
     uncertain = known = blocked = 0
     for b, p in enumerate(probs):
@@ -176,7 +178,6 @@ def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
     return _Instance(
         net=net,
         index={n: i for i, n in enumerate(net.nodes)},
-        bit=bit,
         incident=incident,
         incident_mask=tuple(sum(1 << b for b in bits) for bits in incident),
         probs=probs,
@@ -210,23 +211,11 @@ class _Planner:
         self._reach: dict[tuple[int, int], bool] = {}
         self._dist: dict[tuple[int, int], tuple] = {}
 
-    def masks(
-        self, observed: Optional[Mapping[str, EdgeState]] = None
-    ) -> tuple[int, int]:
-        """(known, blocked) masks of model certainties merged with
-        observations; observations win."""
+    def belief(self, k: KnowledgeState) -> tuple[int, int]:
+        """(known, blocked) of k's observations with the model's
+        certainties filled in; observations win."""
         inst = self.inst
-        known, blocked = inst.known, inst.blocked
-        for edge_id, s in (observed or {}).items():
-            b = inst.bit.get(edge_id)
-            if b is None or s is EdgeState.UNKNOWN:
-                continue
-            known |= 1 << b
-            if s is EdgeState.BLOCKED:
-                blocked |= 1 << b
-            else:
-                blocked &= ~(1 << b)
-        return known, blocked
+        return inst.known | k.known, inst.blocked & ~k.known | k.blocked
 
     def plan(
         self, current: str, known: int, blocked: int
@@ -291,8 +280,8 @@ class _Planner:
         hit = self._reach.get(key)
         if hit is None:
             inst = self.inst
-            names = inst.net.nodes
-            reach = reachable_nodes(inst.net, names[node], inst.passable(~blocked))
+            net, names = inst.net, inst.net.nodes
+            reach = reachable_nodes(net, names[node], _in_mask(net, ~blocked))
             hit = self._reach[key] = names[inst.sink] in reach
         return hit
 
@@ -305,8 +294,8 @@ class _Planner:
         hit = self._dist.get(key)
         if hit is None:
             inst = self.inst
-            names = inst.net.nodes
-            dist = dijkstra_distances(inst.net, names[node], inst.passable(open_mask))
+            net, names = inst.net, inst.net.nodes
+            dist = dijkstra_distances(net, names[node], _in_mask(net, open_mask))
             others = tuple(
                 (i, dist[n])
                 for i, n in enumerate(names)
@@ -359,7 +348,7 @@ def exact_expected_time(
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
     planner = _Planner(net, model, sink, failure_cost, uncertain_edge_cap)
-    value, fail, _ = planner.plan(source, *planner.masks())
+    value, fail, _ = planner.plan(source, planner.inst.known, planner.inst.blocked)
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
     )
@@ -386,7 +375,7 @@ def optimal_action(
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
     planner = _Planner(net, model, sink, failure_cost, uncertain_edge_cap)
-    _, _, target = planner.plan(knowledge.current, *planner.masks(knowledge.states))
+    _, _, target = planner.plan(knowledge.current, *planner.belief(knowledge))
     return target
 
 
@@ -394,7 +383,7 @@ class Policy:
     """Decision rule: map a knowledge state to the next edge id, or None.
 
     None aborts the journey. Implementations must behave as pure
-    functions of (current node, decided edge states); the exact policy
+    functions of (current node, known mask, blocked mask); the exact policy
     evaluator and the simulator rely on that determinism.
     """
 
@@ -406,9 +395,7 @@ class Policy:
 
 def _known_open_step(net: RoadNetwork, k: KnowledgeState, nxt: str) -> str:
     """Edge id of the cheapest known open edge from k.current to nxt."""
-    edge = cheapest_edge(
-        net, k.current, nxt, lambda e: k.state(e.id) is EdgeState.OPEN
-    )
+    edge = cheapest_edge(net, k.current, nxt, _in_mask(net, k.known & ~k.blocked))
     if edge is None:
         raise ValidationError(
             f"no known open edge from {k.current!r} to {nxt!r}; "
@@ -436,10 +423,10 @@ class OptimalPolicy(Policy):
         self._cache: dict = {}
 
     def decide(self, k: KnowledgeState) -> Optional[str]:
-        key = (k.current, k.decided_items())
+        key = (k.current, k.known, k.blocked)
         if key in self._cache:
             return self._cache[key]
-        known, blocked = self._planner.masks(k.states)
+        known, blocked = self._planner.belief(k)
         _, _, target = self._planner.plan(k.current, known, blocked)
         if target is None:
             step = None
@@ -449,10 +436,7 @@ class OptimalPolicy(Policy):
                     "knowledge state leaves undecided edges at the current node"
                 )
             path = shortest_path(
-                self.net,
-                k.current,
-                target,
-                self._planner.inst.passable(known & ~blocked),
+                self.net, k.current, target, _in_mask(self.net, known & ~blocked)
             )
             if path is None:
                 raise ValidationError("planner chose an unreachable target")
@@ -477,15 +461,11 @@ class ReplanGreedyPolicy(Policy):
         self._cache: dict = {}
 
     def decide(self, k: KnowledgeState) -> Optional[str]:
-        key = (k.current, k.decided_items())
+        key = (k.current, k.known, k.blocked)
         if key in self._cache:
             return self._cache[key]
-        path = shortest_path(
-            self.net,
-            k.current,
-            self.sink,
-            lambda e: k.state(e.id) is not EdgeState.BLOCKED,
-        )
+        unblocked = _in_mask(self.net, ~k.blocked)
+        path = shortest_path(self.net, k.current, self.sink, unblocked)
         step = None if path is None else _known_open_step(self.net, k, path.nodes[1])
         self._cache[key] = step
         return step
@@ -525,16 +505,14 @@ class FixedRoutePolicy(Policy):
         self._cache: dict = {}
 
     def _remaining_clean(self, k: KnowledgeState, i: int) -> bool:
+        unblocked = _in_mask(self.net, ~k.blocked)
         for a, b in zip(self.route[i:], self.route[i + 1 :]):
-            passable = cheapest_edge(
-                self.net, a, b, lambda e: k.state(e.id) is not EdgeState.BLOCKED
-            )
-            if passable is None:
+            if cheapest_edge(self.net, a, b, unblocked) is None:
                 return False
         return True
 
     def decide(self, k: KnowledgeState) -> Optional[str]:
-        key = (k.current, k.decided_items())
+        key = (k.current, k.known, k.blocked)
         if key in self._cache:
             return self._cache[key]
         i = self._index.get(k.current)
@@ -576,6 +554,23 @@ class ReplicateOutcome:
     path: tuple[str, ...]
 
 
+def _checked_step(net: RoadNetwork, k: KnowledgeState, edge_id: str) -> Edge:
+    """The edge a policy chose from k; it must leave k.current and be
+    known open."""
+    edge = net.edge_by_id.get(edge_id)
+    if edge is None:
+        raise UnknownEdge(f"policy chose unknown edge {edge_id!r}")
+    if edge not in net.outgoing[k.current]:
+        raise ValidationError(
+            f"policy chose edge {edge_id!r} not leaving {k.current!r}"
+        )
+    if k.state(edge_id) is not EdgeState.OPEN:
+        raise ValidationError(
+            f"policy tried to traverse edge {edge_id!r} not known open"
+        )
+    return edge
+
+
 def walk_policy(
     net: RoadNetwork,
     world: Realization,
@@ -601,17 +596,7 @@ def walk_policy(
         edge_id = policy.decide(k)
         if edge_id is None:
             return ReplicateOutcome(time + failure_cost, True, tuple(path))
-        edge = net.edge_by_id.get(edge_id)
-        if edge is None:
-            raise UnknownEdge(f"policy chose unknown edge {edge_id!r}")
-        if edge not in net.outgoing[k.current]:
-            raise ValidationError(
-                f"policy chose edge {edge_id!r} not leaving {k.current!r}"
-            )
-        if k.state(edge_id) is not EdgeState.OPEN:
-            raise ValidationError(
-                f"policy tried to traverse edge {edge_id!r} not known open"
-            )
+        edge = _checked_step(net, k, edge_id)
         nxt = edge.other(k.current)
         time += edge.cost
         k = reveal(k.moved_to(nxt), nxt, world)
@@ -725,7 +710,7 @@ def evaluate_policy_exact(
     The policy decides from its knowledge alone; overrides condition the
     dynamics, forcing the revealed state of chosen edges while every
     other edge keeps its model probability. Requires the policy to be a
-    pure function of (current node, decided edge states).
+    pure function of (current node, known mask, blocked mask).
     """
     model.validate_for(net)
     net.require_node(source)
@@ -734,12 +719,7 @@ def evaluate_policy_exact(
         raise ValidationError("source and sink must differ")
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
-    overrides = dict(overrides or {})
-    for edge_id, s in overrides.items():
-        if edge_id not in model.probabilities:
-            raise UnknownEdge(f"override for unknown edge {edge_id!r}")
-        if s not in (EdgeState.OPEN, EdgeState.BLOCKED):
-            raise ValidationError("override state must be open or blocked")
+    overrides = checked_overrides(model, overrides)
     free = [
         e
         for e in model.uncertain_edges()
@@ -750,43 +730,46 @@ def evaluate_policy_exact(
             f"{len(free)} uncertain edges exceed the cap of {uncertain_edge_cap}"
         )
 
-    def branch_states(edge_id: str) -> list[tuple[EdgeState, float]]:
-        if edge_id in overrides:
-            return [(overrides[edge_id], 1.0)]
-        p = model.probability(edge_id)
+    inst = _compile(net, model, sink)
+    # (blocked bits, weight) of each revealed state of each edge bit; an
+    # override acts as probability 0 or 1
+    outcomes = []
+    for b, e in enumerate(net.edges):
+        p = inst.probs[b]
+        if e.id in overrides:
+            p = float(overrides[e.id] is EdgeState.BLOCKED)
         if p == 0.0:
-            return [(EdgeState.OPEN, 1.0)]
-        if p == 1.0:
-            return [(EdgeState.BLOCKED, 1.0)]
-        return [(EdgeState.OPEN, 1.0 - p), (EdgeState.BLOCKED, p)]
+            outcomes.append(((0, 1.0),))
+        elif p == 1.0:
+            outcomes.append(((1 << b, 1.0),))
+        else:
+            outcomes.append(((0, 1.0 - p), (1 << b, p)))
 
     memo: dict = {}
     active: set = set()
 
-    def arrive(k: KnowledgeState, node: str) -> tuple[float, float]:
+    def arrive(node: str, known: int, blocked: int) -> tuple[float, float]:
         """Expected (cost, failure) after revealing node's undecided edges."""
-        undecided = [e.id for e in net.incident[node] if k.state(e.id) is EdgeState.UNKNOWN]
-        choices = [branch_states(e) for e in undecided]
+        i = inst.index[node]
+        undecided = [b for b in inst.incident[i] if not known >> b & 1]
+        known |= inst.incident_mask[i]
         total_v = 0.0
         total_f = 0.0
-        for combo in itertools.product(*choices):
+        for combo in itertools.product(*(outcomes[b] for b in undecided)):
             weight = 1.0
-            for _, w in combo:
+            child_blocked = blocked
+            for bits, w in combo:
                 weight *= w
-            states = dict(k.states)
-            states.update({e: s for e, (s, _) in zip(undecided, combo)})
-            child = KnowledgeState(
-                net=net, current=node, visited=k.visited | {node}, states=states
-            )
-            v, f = visit(child)
+                child_blocked |= bits
+            v, f = visit(node, known, child_blocked)
             total_v += weight * v
             total_f += weight * f
         return total_v, total_f
 
-    def visit(k: KnowledgeState) -> tuple[float, float]:
-        if k.current == sink:
+    def visit(node: str, known: int, blocked: int) -> tuple[float, float]:
+        if node == sink:
             return 0.0, 0.0
-        key = (k.current, k.decided_items())
+        key = (node, known, blocked)
         hit = memo.get(key)
         if hit is not None:
             return hit
@@ -796,30 +779,20 @@ def evaluate_policy_exact(
             )
         active.add(key)
         try:
+            k = KnowledgeState(net, node, known, blocked)
             edge_id = policy.decide(k)
             if edge_id is None:
                 result = (failure_cost, 1.0)
             else:
-                edge = net.edge_by_id.get(edge_id)
-                if edge is None:
-                    raise UnknownEdge(f"policy chose unknown edge {edge_id!r}")
-                if edge not in net.outgoing[k.current]:
-                    raise ValidationError(
-                        f"policy chose edge {edge_id!r} not leaving {k.current!r}"
-                    )
-                if k.state(edge_id) is not EdgeState.OPEN:
-                    raise ValidationError(
-                        f"policy tried to traverse edge {edge_id!r} not known open"
-                    )
-                nxt = edge.other(k.current)
-                v, f = arrive(k.moved_to(nxt), nxt)
+                edge = _checked_step(net, k, edge_id)
+                v, f = arrive(edge.other(node), known, blocked)
                 result = (edge.cost + v, f)
         finally:
             active.discard(key)
         memo[key] = result
         return result
 
-    value, fail = arrive(fresh_knowledge(net, source), source)
+    value, fail = arrive(source, 0, 0)
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
     )

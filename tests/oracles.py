@@ -235,7 +235,8 @@ def reference_action(
 ) -> Optional[str]:
     """Best target from a knowledge state according to ReferencePlanner."""
     planner = ReferencePlanner(net, model, sink, failure_cost)
-    assignment = planner.base_assignment(knowledge.states)
+    observed = {e.id: knowledge.state(e.id) for e in net.edges}
+    assignment = planner.base_assignment(observed)
     return planner.value(knowledge.current, assignment)[2]
 
 

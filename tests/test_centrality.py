@@ -10,10 +10,8 @@ import oracles
 from ctproute.centrality import (
     CSV_HEADER,
     CbcResult,
-    GeodesicScore,
     canadian_betweenness,
     canadian_betweenness_all,
-    geodesic_edge_betweenness,
     geodesic_scores,
     write_centrality_csv,
 )
@@ -344,12 +342,6 @@ class TestGeodesicBaseline:
         for eid in want:
             assert got[eid] == pytest.approx(want[eid], rel=1e-12)
 
-    def test_table_wrapper_sorts_rows(self):
-        table = geodesic_edge_betweenness(FOUR_CYCLE)
-        assert [row.edge_id for row in table.rows] == ["ab", "bc", "cd", "da"]
-        assert all(isinstance(row, GeodesicScore) for row in table.rows)
-        assert table.config == {"baseline": "geodesic"}
-
 
 class TestCsvRendering:
     def test_exact_table_golden(self):
@@ -380,10 +372,6 @@ class TestCsvRendering:
         for line in write_centrality_csv(table).splitlines()[1:]:
             fields = line.split(",")
             assert fields[8] != "" and fields[9] != ""
-
-    def test_geodesic_rows_are_not_renderable_as_cbc(self):
-        with pytest.raises(ValidationError, match="centrality rows"):
-            write_centrality_csv(geodesic_edge_betweenness(PATH_GRAPH))
 
     def test_missing_geodesic_score_rejected(self):
         net, model = tri_fixture()

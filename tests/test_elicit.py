@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctproute.blockage import CovariateMatrix
+from ctproute.blockage import CovariateMatrix, read_probabilities_csv
 from ctproute.elicit import (
     BetaPrior,
     BetaSample,
@@ -27,7 +27,6 @@ from ctproute.elicit import (
     prior_to_jsonable,
     pushforward_probabilities,
     read_expert_draws_csv,
-    read_expert_point_csv,
     sample_beta,
 )
 from ctproute.errors import (
@@ -402,16 +401,16 @@ def test_pushforward_quantiles_are_ordered_probabilities(draws):
 class TestReaders:
     def test_point_form(self):
         text = "edge_id,p\ne1,0.2\ne2,0.8\n"
-        assert read_expert_point_csv(text) == {"e1": 0.2, "e2": 0.8}
+        assert read_probabilities_csv(text) == {"e1": 0.2, "e2": 0.8}
         assert expert_csv_form(text) == "point"
 
     def test_point_form_errors(self):
         with pytest.raises(ParseError, match="header"):
-            read_expert_point_csv("edge,p\ne1,0.5\n")
+            read_probabilities_csv("edge,p\ne1,0.5\n")
         with pytest.raises(ParseError, match="not a number"):
-            read_expert_point_csv("edge_id,p\ne1,maybe\n")
+            read_probabilities_csv("edge_id,p\ne1,maybe\n")
         with pytest.raises(ValidationError, match="duplicate"):
-            read_expert_point_csv("edge_id,p\ne1,0.5\ne1,0.7\n")
+            read_probabilities_csv("edge_id,p\ne1,0.5\ne1,0.7\n")
 
     def test_draws_form_groups_by_draw_in_file_order(self):
         text = (

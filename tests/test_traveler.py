@@ -48,14 +48,13 @@ class TestKnowledge:
         net, _ = tri_fixture()
         k = fresh_knowledge(net, "S")
         assert k.current == "S"
-        assert k.visited == frozenset()
+        assert (k.known, k.blocked) == (0, 0)
         assert all(k.state(e.id) is EdgeState.UNKNOWN for e in net.edges)
 
     def test_reveal_decides_exactly_the_incident_edges(self):
         net, _ = tri_fixture()
         world = tri_world(d=EdgeState.BLOCKED)
         k = reveal(fresh_knowledge(net, "S"), "S", world)
-        assert k.visited == frozenset({"S"})
         assert k.state("d") is EdgeState.BLOCKED
         assert k.state("a") is EdgeState.OPEN
         assert k.state("b") is EdgeState.UNKNOWN
@@ -66,7 +65,6 @@ class TestKnowledge:
         k = reveal(fresh_knowledge(net, "S"), "S", world)
         k = reveal(k.moved_to("M"), "M", world)
         assert k.current == "M"
-        assert k.visited == frozenset({"S", "M"})
         assert k.state("b") is EdgeState.OPEN
 
     def test_reveal_is_idempotent(self):
@@ -74,8 +72,7 @@ class TestKnowledge:
         world = tri_world(d=EdgeState.BLOCKED)
         once = reveal(fresh_knowledge(net, "S"), "S", world)
         twice = reveal(once, "S", world)
-        assert twice.states == once.states
-        assert twice.visited == once.visited
+        assert twice == once
 
     def test_reveal_never_rewrites_a_decided_edge(self):
         net, _ = tri_fixture()
@@ -89,11 +86,6 @@ class TestKnowledge:
         net, _ = tri_fixture()
         with pytest.raises(UnknownEdge):
             fresh_knowledge(net, "S").state("ghost")
-
-    def test_decided_items_is_sorted_and_skips_unknown(self):
-        net, _ = tri_fixture()
-        k = reveal(fresh_knowledge(net, "S"), "S", tri_world())
-        assert k.decided_items() == (("a", "open"), ("d", "open"))
 
 
 class TestExactExpectedTime:
@@ -347,6 +339,18 @@ class TestPolicies:
         result = evaluate_policy_exact(net, model, greedy, "S", "T")
         assert result.value == pytest.approx(3.0, abs=1e-12)
 
+    def test_policy_knowledge_holds_observations_only(self):
+        # at q=1 the road A-T is certainly blocked, but a policy knows only
+        # what it has seen: greedy still walks to A, discovers the blockage
+        # there and turns back, 1 + 1 + 4
+        net, model = tb_fixture(1.0)
+        greedy = ReplanGreedyPolicy(net, "T")
+        result = evaluate_policy_exact(net, model, greedy, "S", "T")
+        assert result.value == 6.0
+        assert result.failure_probability == 0.0
+        dist = simulate_policy(net, model, greedy, "S", "T", 50, seed=3)
+        assert np.all(dist.times == 6.0)
+
     def test_greedy_can_lose_to_a_cautious_fixed_route(self):
         # at q=0.75 the optimistic gamble is a mistake: greedy pays
         # 0.25*2 + 0.75*6 = 5.0 while committing to the direct road pays
@@ -598,10 +602,9 @@ def test_knowledge_grows_monotonically_and_matches_the_world(
     walk_policy(net, world, recorder, source, sink, fc)
     previous = {}
     for k in recorder.snapshots:
-        assert k.current in k.visited
-        for node in k.visited:
-            for e in net.incident[node]:
-                assert k.state(e.id) is not EdgeState.UNKNOWN
+        # every visited node is the current node of some snapshot
+        for e in net.incident[k.current]:
+            assert k.state(e.id) is not EdgeState.UNKNOWN
         for edge_id, state in previous.items():
             assert k.state(edge_id) is state  # never reverts or flips
         for e in net.edges:
