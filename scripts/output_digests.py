@@ -1,0 +1,36 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every benchmark operation's output, as JSON.
+
+Builds one workload's operations with the benchmark's generator, runs each
+through its CLI runner and prints one JSON (kind, sha256, problems) line per
+operation. Two checkouts that give the same rows print the same bytes for
+every operation; run both from the same checkout path with the same
+--workdir, since some outputs name the files they wrote.
+
+Usage (from a checkout root):
+    python3 scripts/output_digests.py grid-exact [--seed 7] [--workdir DIR]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+
+parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+parser.add_argument("workload")
+parser.add_argument("--seed", type=int, default=7)
+parser.add_argument("--workdir", type=Path, default=Path(".perfbench/digests"))
+args = parser.parse_args()
+
+sys.path.insert(0, str(Path.cwd() / "perfbench"))
+import run  # noqa: E402
+import workloads  # noqa: E402
+
+cli = run.import_program(Path.cwd())
+workdir = args.workdir / args.workload
+workdir.mkdir(parents=True, exist_ok=True)
+for op in workloads.build(args.workload, args.seed, workdir.resolve()):
+    _, problems, digest = run.run_op(cli, op)
+    print(json.dumps((op.kind, digest, problems)))

@@ -36,7 +36,6 @@ from .errors import (
 from .network import RoadNetwork, dijkstra_distances
 from .render import fmt
 from .traveler import (
-    DEFAULT_UNCERTAIN_EDGE_CAP,
     OptimalPolicy,
     default_failure_cost,
     evaluate_policy_exact,
@@ -119,7 +118,6 @@ def canadian_betweenness(
     seed: int = 0,
     failure_cost: Optional[float] = None,
     failure_handling: str = "penalty",
-    uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
     _policy: Optional[OptimalPolicy] = None,
 ) -> CbcResult:
     """Blockage centrality of one edge between a source and sink."""
@@ -136,18 +134,16 @@ def canadian_betweenness(
     cond = _conditioned_model(net, model, edge_id, mode)
     policy = _policy
     if policy is None or mode == "others_open":
-        policy = OptimalPolicy(net, cond, sink, failure_cost, uncertain_edge_cap)
+        policy = OptimalPolicy(net, cond, sink, failure_cost)
 
     if method == "exact":
         blocked = evaluate_policy_exact(
             net, cond, policy, source, sink, failure_cost,
             overrides={edge_id: EdgeState.BLOCKED},
-            uncertain_edge_cap=uncertain_edge_cap,
         )
         opened = evaluate_policy_exact(
             net, cond, policy, source, sink, failure_cost,
             overrides={edge_id: EdgeState.OPEN},
-            uncertain_edge_cap=uncertain_edge_cap,
         )
         return CbcResult(
             edge_id=edge_id,
@@ -160,10 +156,11 @@ def canadian_betweenness(
             p_fail_open=opened.failure_probability,
         )
 
+    # common random numbers: replicate r of the blocked and the open run
+    # samples the same world apart from the edge itself
+    run_seed = rng.derive_seed(seed, edge_id)
     stats: dict[str, tuple[float, float, float]] = {}
     for label, state in (("blocked", EdgeState.BLOCKED), ("open", EdgeState.OPEN)):
-        # independent substream per (edge, conditioning); replicates split inside
-        run_seed = rng.derive_seed(seed, edge_id, label)
         dist = simulate_policy(
             net, cond, policy, source, sink, replications, run_seed,
             failure_cost, overrides={edge_id: state},
@@ -200,7 +197,6 @@ def canadian_betweenness_all(
     seed: int = 0,
     failure_cost: Optional[float] = None,
     failure_handling: str = "penalty",
-    uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
 ) -> CentralityTable:
     """Blockage centrality for every edge, rows in edge id order."""
     _validate_options(mode, method, failure_handling)
@@ -210,13 +206,13 @@ def canadian_betweenness_all(
     shared = None
     if mode == "others_stochastic":
         # one nominal policy serves every edge in this mode
-        shared = OptimalPolicy(net, model, sink, failure_cost, uncertain_edge_cap)
+        shared = OptimalPolicy(net, model, sink, failure_cost)
     rows = tuple(
         canadian_betweenness(
             net, model, source, sink, edge_id,
             mode=mode, method=method, replications=replications, seed=seed,
             failure_cost=failure_cost, failure_handling=failure_handling,
-            uncertain_edge_cap=uncertain_edge_cap, _policy=shared,
+            _policy=shared,
         )
         for edge_id in sorted(net.edge_by_id)
     )

@@ -29,13 +29,18 @@ blocked). The knowledge holds observations only: the planner folds the
 edges of probability 0 or 1 in when it plans, with observations winning,
 so policies that do not plan never act on a model certainty.
 
-The planner compiles (network, model, sink) into one immutable instance:
-node i is net.nodes[i], and the edges of probability 0 or 1 are already
-set in the initial known and blocked masks. Many beliefs share the inputs
-of their graph searches, so whether the sink is reachable with undecided
-edges assumed open is cached per (node, blocked mask), and the distances
-over known open edges per (node, known & ~blocked); a cache miss runs the
-network module's reachable_nodes or dijkstra_distances.
+The planner and the exact policy evaluator compile (network, model, sink)
+into one immutable instance: node i is net.nodes[i], each edge bit has its
+table of reveal outcomes, and the edges of probability 0 or 1 (for the
+evaluator, also the overridden edges) are already set in the initial known
+and blocked masks. Both take every expectation through one enumeration of
+a node's joint reveal, _reveal_expectation, and refuse a belief with more
+than UNCERTAIN_EDGE_CAP undecided uncertain edges through one check,
+_check_cap. Many beliefs share the inputs of their graph searches, so the
+planner caches whether the sink is reachable with undecided edges assumed
+open per (node, blocked mask), and the distances over known open edges per
+(node, known & ~blocked); a cache miss runs the network module's
+reachable_nodes or dijkstra_distances.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -70,7 +75,8 @@ from .network import (
     shortest_path,
 )
 
-DEFAULT_UNCERTAIN_EDGE_CAP = 20
+# most undecided uncertain edges an exact expectation may enumerate
+UNCERTAIN_EDGE_CAP = 20
 
 
 def default_failure_cost(net: RoadNetwork) -> float:
@@ -143,49 +149,103 @@ class ExpectedTime:
 
 @dataclass(frozen=True)
 class _Instance:
-    """A (network, model, sink) compiled for the planner.
+    """A (network, model, sink) compiled for exact expectations.
 
     Node i is net.nodes[i] and edge bit b is net.edges[b]. Edges with
-    probability exactly 0 or 1 are folded into the initial `known` and
-    `blocked` masks.
+    probability exactly 0 or 1, and overridden edges, are folded into the
+    initial `known` and `blocked` masks.
     """
 
     net: RoadNetwork
     index: Mapping[str, int]  # node name -> node id
     incident: tuple[tuple[int, ...], ...]  # edge bits per node, net.incident order
     incident_mask: tuple[int, ...]  # the same bits per node as one mask
-    probs: tuple[float, ...]  # blockage probability per edge bit
+    # per edge bit, (blocked bits, weight) of each revealed state, open first
+    outcomes: tuple[tuple[tuple[int, float], ...], ...]
     uncertain: int  # edges with 0 < p < 1
     known: int
     blocked: int
     sink: int
 
 
-def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
+def _compile(
+    net: RoadNetwork,
+    model: BlockageModel,
+    sink: str,
+    overrides: Optional[Mapping[str, EdgeState]] = None,
+) -> _Instance:
+    """Compile for exact work; an override acts as probability 0 or 1."""
     model.validate_for(net)
     net.require_node(sink)
+    overrides = checked_overrides(model, overrides)
     bit = net.edge_bit
-    probs = tuple(model.probability(e.id) for e in net.edges)
+    outcomes = []
     uncertain = known = blocked = 0
-    for b, p in enumerate(probs):
+    for b, e in enumerate(net.edges):
+        p = model.probability(e.id)
+        if e.id in overrides:
+            p = float(overrides[e.id] is EdgeState.BLOCKED)
         if 0.0 < p < 1.0:
             uncertain |= 1 << b
+            outcomes.append(((0, 1.0 - p), (1 << b, p)))
             continue
         known |= 1 << b
         if p == 1.0:
             blocked |= 1 << b
+        outcomes.append(((blocked & 1 << b, 1.0),))
     incident = tuple(tuple(bit[e.id] for e in net.incident[n]) for n in net.nodes)
     return _Instance(
         net=net,
         index={n: i for i, n in enumerate(net.nodes)},
         incident=incident,
         incident_mask=tuple(sum(1 << b for b in bits) for bits in incident),
-        probs=probs,
+        outcomes=tuple(outcomes),
         uncertain=uncertain,
         known=known,
         blocked=blocked,
         sink=net.nodes.index(sink),
     )
+
+
+def _check_cap(inst: _Instance, known: int) -> None:
+    """Refuse a belief whose undecided uncertain edges exceed the cap.
+
+    The cap bounds the edges still undecided in this belief, not the
+    model's global uncertain count, so observations already made keep
+    large instances plannable.
+    """
+    undecided = (inst.uncertain & ~known).bit_count()
+    if undecided > UNCERTAIN_EDGE_CAP:
+        raise TooManyUncertainEdges(
+            f"{undecided} uncertain edges exceed the cap of {UNCERTAIN_EDGE_CAP}"
+        )
+
+
+def _reveal_expectation(
+    inst: _Instance,
+    node: int,
+    known: int,
+    blocked: int,
+    value: Callable[[int, int, int], Sequence],
+) -> tuple[float, float]:
+    """Expected (value, failure) over the joint reveal of node's undecided
+    edges, where value(node, known, blocked) gives both, first and second,
+    for each child belief. Edges go in incident order, the last varying
+    fastest, each open before blocked."""
+    undecided = [inst.outcomes[b] for b in inst.incident[node] if not known >> b & 1]
+    known |= inst.incident_mask[node]
+    total_v = 0.0
+    total_f = 0.0
+    for combo in itertools.product(*undecided):
+        weight = 1.0
+        child_blocked = blocked
+        for bits, w in combo:
+            weight *= w
+            child_blocked |= bits
+        child = value(node, known, child_blocked)
+        total_v += weight * child[0]
+        total_f += weight * child[1]
+    return total_v, total_f
 
 
 class _Planner:
@@ -197,15 +257,9 @@ class _Planner:
     """
 
     def __init__(
-        self,
-        net: RoadNetwork,
-        model: BlockageModel,
-        sink: str,
-        failure_cost: float,
-        uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
+        self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
     ):
         self.inst = _compile(net, model, sink)
-        self.cap = int(uncertain_edge_cap)
         self.failure_cost = float(failure_cost)
         self._memo: dict[tuple[int, int, int], tuple[float, float, Optional[str]]] = {}
         self._reach: dict[tuple[int, int], bool] = {}
@@ -220,17 +274,8 @@ class _Planner:
     def plan(
         self, current: str, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
-        """Cap checked entry point: value() over the remaining unknowns.
-
-        The cap bounds the edges still undecided in this belief, not the
-        model's global uncertain count, so observations already made keep
-        large instances plannable.
-        """
-        undecided = (self.inst.uncertain & ~known).bit_count()
-        if undecided > self.cap:
-            raise TooManyUncertainEdges(
-                f"{undecided} uncertain edges exceed the cap of {self.cap}"
-            )
+        """Cap checked entry point: value() over the remaining unknowns."""
+        _check_cap(self.inst, known)
         return self.value(self.inst.index[current], known, blocked)
 
     def value(
@@ -264,8 +309,7 @@ class _Planner:
         for other, dist in open_dist:
             if not inst.incident_mask[other] & ~known:
                 continue
-            undecided = [b for b in inst.incident[other] if not known >> b & 1]
-            ev, ef = self._reveal_expectation(other, known, blocked, undecided)
+            ev, ef = _reveal_expectation(inst, other, known, blocked, self.value)
             options.append((dist + ev, names[other], ef))
 
         if not options:
@@ -304,27 +348,6 @@ class _Planner:
             hit = self._dist[key] = (dist.get(names[inst.sink]), others)
         return hit
 
-    def _reveal_expectation(
-        self, node: int, known: int, blocked: int, undecided: Sequence[int]
-    ) -> tuple[float, float]:
-        probs = [self.inst.probs[b] for b in undecided]
-        known |= self.inst.incident_mask[node]
-        total_v = 0.0
-        total_f = 0.0
-        for outcome in itertools.product((False, True), repeat=len(undecided)):
-            weight = 1.0
-            child_blocked = blocked
-            for p, b, is_blocked in zip(probs, undecided, outcome):
-                if is_blocked:
-                    weight *= p
-                    child_blocked |= 1 << b
-                else:
-                    weight *= 1.0 - p
-            v, f, _ = self.value(node, known, child_blocked)
-            total_v += weight * v
-            total_f += weight * f
-        return total_v, total_f
-
 
 def exact_expected_time(
     net: RoadNetwork,
@@ -332,7 +355,6 @@ def exact_expected_time(
     source: str,
     sink: str,
     failure_cost: Optional[float] = None,
-    uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
 ) -> ExpectedTime:
     """Expected travel time of an optimal traveler from source to sink.
 
@@ -347,7 +369,7 @@ def exact_expected_time(
         raise ValidationError("source and sink must differ")
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
-    planner = _Planner(net, model, sink, failure_cost, uncertain_edge_cap)
+    planner = _Planner(net, model, sink, failure_cost)
     value, fail, _ = planner.plan(source, planner.inst.known, planner.inst.blocked)
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
@@ -360,7 +382,6 @@ def optimal_action(
     knowledge: KnowledgeState,
     sink: str,
     failure_cost: Optional[float] = None,
-    uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
 ) -> Optional[str]:
     """Best next target (a frontier node or the sink) from a knowledge state.
 
@@ -374,7 +395,7 @@ def optimal_action(
         raise ValidationError("traveler is already at the sink")
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
-    planner = _Planner(net, model, sink, failure_cost, uncertain_edge_cap)
+    planner = _Planner(net, model, sink, failure_cost)
     _, _, target = planner.plan(knowledge.current, *planner.belief(knowledge))
     return target
 
@@ -410,16 +431,11 @@ class OptimalPolicy(Policy):
     kind = "optimal"
 
     def __init__(
-        self,
-        net: RoadNetwork,
-        model: BlockageModel,
-        sink: str,
-        failure_cost: float,
-        uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
+        self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
     ):
         self.net = net
         self.sink = sink
-        self._planner = _Planner(net, model, sink, failure_cost, uncertain_edge_cap)
+        self._planner = _Planner(net, model, sink, failure_cost)
         self._cache: dict = {}
 
     def decide(self, k: KnowledgeState) -> Optional[str]:
@@ -531,13 +547,12 @@ def make_policy(
     sink: str,
     failure_cost: Optional[float] = None,
     route: Optional[Sequence[str]] = None,
-    uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
 ) -> Policy:
     net.require_node(sink)
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
     if kind == "optimal":
-        return OptimalPolicy(net, model, sink, failure_cost, uncertain_edge_cap)
+        return OptimalPolicy(net, model, sink, failure_cost)
     if kind == "replan":
         return ReplanGreedyPolicy(net, sink)
     if kind == "route":
@@ -703,7 +718,6 @@ def evaluate_policy_exact(
     sink: str,
     failure_cost: Optional[float] = None,
     overrides: Optional[Mapping[str, EdgeState]] = None,
-    uncertain_edge_cap: int = DEFAULT_UNCERTAIN_EDGE_CAP,
 ) -> ExpectedTime:
     """Exact expectation of a policy by enumerating reveal outcomes.
 
@@ -719,55 +733,13 @@ def evaluate_policy_exact(
         raise ValidationError("source and sink must differ")
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
-    overrides = checked_overrides(model, overrides)
-    free = [
-        e
-        for e in model.uncertain_edges()
-        if e not in overrides
-    ]
-    if len(free) > uncertain_edge_cap:
-        raise TooManyUncertainEdges(
-            f"{len(free)} uncertain edges exceed the cap of {uncertain_edge_cap}"
-        )
-
-    inst = _compile(net, model, sink)
-    # (blocked bits, weight) of each revealed state of each edge bit; an
-    # override acts as probability 0 or 1
-    outcomes = []
-    for b, e in enumerate(net.edges):
-        p = inst.probs[b]
-        if e.id in overrides:
-            p = float(overrides[e.id] is EdgeState.BLOCKED)
-        if p == 0.0:
-            outcomes.append(((0, 1.0),))
-        elif p == 1.0:
-            outcomes.append(((1 << b, 1.0),))
-        else:
-            outcomes.append(((0, 1.0 - p), (1 << b, p)))
-
-    memo: dict = {}
+    inst = _compile(net, model, sink, overrides)
+    _check_cap(inst, 0)
+    memo: dict[tuple[int, int, int], tuple[float, float]] = {}
     active: set = set()
 
-    def arrive(node: str, known: int, blocked: int) -> tuple[float, float]:
-        """Expected (cost, failure) after revealing node's undecided edges."""
-        i = inst.index[node]
-        undecided = [b for b in inst.incident[i] if not known >> b & 1]
-        known |= inst.incident_mask[i]
-        total_v = 0.0
-        total_f = 0.0
-        for combo in itertools.product(*(outcomes[b] for b in undecided)):
-            weight = 1.0
-            child_blocked = blocked
-            for bits, w in combo:
-                weight *= w
-                child_blocked |= bits
-            v, f = visit(node, known, child_blocked)
-            total_v += weight * v
-            total_f += weight * f
-        return total_v, total_f
-
-    def visit(node: str, known: int, blocked: int) -> tuple[float, float]:
-        if node == sink:
+    def visit(node: int, known: int, blocked: int) -> tuple[float, float]:
+        if node == inst.sink:
             return 0.0, 0.0
         key = (node, known, blocked)
         hit = memo.get(key)
@@ -779,20 +751,21 @@ def evaluate_policy_exact(
             )
         active.add(key)
         try:
-            k = KnowledgeState(net, node, known, blocked)
+            k = KnowledgeState(net, net.nodes[node], known, blocked)
             edge_id = policy.decide(k)
             if edge_id is None:
                 result = (failure_cost, 1.0)
             else:
                 edge = _checked_step(net, k, edge_id)
-                v, f = arrive(edge.other(node), known, blocked)
+                nxt = inst.index[edge.other(k.current)]
+                v, f = _reveal_expectation(inst, nxt, known, blocked, visit)
                 result = (edge.cost + v, f)
         finally:
             active.discard(key)
         memo[key] = result
         return result
 
-    value, fail = arrive(source, 0, 0)
+    value, fail = _reveal_expectation(inst, inst.index[source], 0, 0, visit)
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
     )

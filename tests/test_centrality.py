@@ -173,17 +173,26 @@ class TestMonteCarloCentrality:
         assert a == b
 
     def test_blocked_and_open_runs_use_common_random_numbers(self):
-        # with one uncertain edge pinned either way, the other edges'
-        # states coincide replicate by replicate, so on TRI the blocked
-        # and open runs are deterministic transforms of the same worlds
-        net, model = tri_fixture()
-        row = canadian_betweenness(
-            net, model, "S", "T", "d",
-            method="monte_carlo", replications=500, seed=7,
+        # TRI plus a dead-end road x that no journey uses: replicate r of
+        # the blocked and the open run sees the same state of the gamble d,
+        # so the two walks coincide and x's centrality is exactly zero;
+        # independent streams would leave sampling noise in it
+        net = make_network(
+            [
+                ("d", "S", "T", 10.0),
+                ("a", "S", "M", 4.0),
+                ("b", "M", "T", 8.0),
+                ("x", "S", "X", 1.0),
+            ]
         )
-        assert row.e_t_blocked == 12.0  # every blocked-world walk is 12
-        assert row.e_t_open == 10.0
-        assert row.cbc == 2.0
+        model = make_model(d=0.3, a=0.0, b=0.0, x=0.5)
+        for seed in (0, 7, 11):
+            row = canadian_betweenness(
+                net, model, "S", "T", "x",
+                method="monte_carlo", replications=500, seed=seed,
+            )
+            assert row.e_t_blocked == row.e_t_open
+            assert row.cbc == 0.0
 
     def test_conditional_failure_handling_drops_failed_walks(self):
         net, model = tri_fixture()

@@ -160,15 +160,6 @@ class TestExactExpectedTime:
         model = BlockageModel(probabilities={e.id: 0.5 for e in net.edges})
         with pytest.raises(TooManyUncertainEdges):
             exact_expected_time(net, model, "S", "T")
-        small = make_network(specs[:3])
-        small_model = BlockageModel(
-            probabilities={e.id: 0.5 for e in small.edges}
-        )
-        with pytest.raises(TooManyUncertainEdges):
-            exact_expected_time(
-                small, small_model, "S", "T", uncertain_edge_cap=2
-            )
-        exact_expected_time(small, small_model, "S", "T", uncertain_edge_cap=3)
 
     def test_default_failure_cost_is_twice_total_cost(self):
         net, _ = tri_fixture()
@@ -497,6 +488,23 @@ class TestExactPolicyEvaluation:
                 net, model, policy, "S", "T",
                 overrides={"ghost": EdgeState.OPEN},
             )
+
+    def test_cap_counts_overrides_as_decided(self):
+        nodes = ["S", *(f"N{i}" for i in range(1, 21)), "T"]
+        net = make_network(
+            [(f"e{i}", u, v, 1.0) for i, (u, v) in enumerate(zip(nodes, nodes[1:]))]
+        )
+        model = BlockageModel(probabilities={e.id: 0.5 for e in net.edges})
+        greedy = ReplanGreedyPolicy(net, "T")
+        with pytest.raises(
+            TooManyUncertainEdges, match="21 uncertain edges exceed the cap of 20"
+        ):
+            evaluate_policy_exact(net, model, greedy, "S", "T")
+        result = evaluate_policy_exact(
+            net, model, greedy, "S", "T", overrides={"e0": EdgeState.OPEN}
+        )
+        # the walk reaches T only if the 20 free roads are all open
+        assert result.failure_probability == pytest.approx(1.0 - 0.5**20)
 
 
 class TestSimulation:
