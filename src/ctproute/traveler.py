@@ -34,13 +34,31 @@ into one immutable instance: node i is net.nodes[i], each edge bit has its
 table of reveal outcomes, and the edges of probability 0 or 1 (for the
 evaluator, also the overridden edges) are already set in the initial known
 and blocked masks. Both take every expectation through one enumeration of
-a node's joint reveal, _reveal_expectation, and refuse a belief with more
-than UNCERTAIN_EDGE_CAP undecided uncertain edges through one check,
-_check_cap. Many beliefs share the inputs of their graph searches, so the
-planner caches whether the sink is reachable with undecided edges assumed
-open per (node, blocked mask), and the distances over known open edges per
-(node, known & ~blocked); a cache miss runs the network module's
-reachable_nodes or dijkstra_distances.
+a node's joint reveal, _reveal_expectation, and refuse to start from a
+belief with more than UNCERTAIN_EDGE_CAP undecided uncertain edges through
+one check, _check_cap. It counts only the edges incident to nodes
+reachable from the start over edges not known blocked, since no reveal
+can decide any other edge.
+
+The planner prunes by branch and bound on the free-space distance h, the
+distance to the sink with every edge not known blocked taken as open.
+Every outcome of a reveal at frontier node v costs at least
+min(h(v), failure cost) from v on, so dist(node, v) + min(h(v), failure
+cost) bounds the option's value from below. Options are evaluated in
+increasing (bound, node id) order, after the sink's exact value, and the
+rest are skipped once a bound exceeds the best value so far by more than
+PRUNE_MARGIN times its size; the margin covers reveal weights that sum to
+1 - eps. A skipped option is strictly worse than the best, so the choice
+and its (value, name) tie-break are those of the full recursion, and
+every evaluated subtree is exact.
+
+Many beliefs share the inputs of their graph searches, so the planner
+keeps four caches: whether the sink is reachable with undecided edges
+assumed open per (node, blocked mask), the distances over known open
+edges per (node, known & ~blocked), h per blocked mask (one search from
+the sink over the reversed network, computed only for a belief with at
+least two options), and the memo of values per belief. A cache miss runs
+the network module's reachable_nodes or dijkstra_distances.
 """
 
 from __future__ import annotations
@@ -157,6 +175,7 @@ class _Instance:
     """
 
     net: RoadNetwork
+    reverse: RoadNetwork  # net with edges turned around (net if undirected)
     index: Mapping[str, int]  # node name -> node id
     incident: tuple[tuple[int, ...], ...]  # edge bits per node, net.incident order
     incident_mask: tuple[int, ...]  # the same bits per node as one mask
@@ -194,8 +213,13 @@ def _compile(
             blocked |= 1 << b
         outcomes.append(((blocked & 1 << b, 1.0),))
     incident = tuple(tuple(bit[e.id] for e in net.incident[n]) for n in net.nodes)
+    reverse = net
+    if net.directed:
+        flipped = tuple(Edge(e.id, e.v, e.u, e.cost) for e in net.edges)
+        reverse = RoadNetwork(nodes=net.nodes, edges=flipped, directed=True)
     return _Instance(
         net=net,
+        reverse=reverse,
         index={n: i for i, n in enumerate(net.nodes)},
         incident=incident,
         incident_mask=tuple(sum(1 << b for b in bits) for bits in incident),
@@ -207,17 +231,26 @@ def _compile(
     )
 
 
-def _check_cap(inst: _Instance, known: int) -> None:
-    """Refuse a belief whose undecided uncertain edges exceed the cap.
+def _check_cap(inst: _Instance, node: int, known: int, blocked: int) -> None:
+    """Refuse a belief whose reachable undecided uncertain edges exceed
+    the cap.
 
-    The cap bounds the edges still undecided in this belief, not the
-    model's global uncertain count, so observations already made keep
-    large instances plannable.
+    Only edges incident to nodes reachable from node over edges not known
+    blocked can ever be revealed, so edges elsewhere do not count, and
+    observations already made keep large instances plannable.
     """
-    undecided = (inst.uncertain & ~known).bit_count()
-    if undecided > UNCERTAIN_EDGE_CAP:
+    undecided = inst.uncertain & ~known
+    if undecided.bit_count() <= UNCERTAIN_EDGE_CAP:
+        return  # the reachable count is at most this one
+    net, names = inst.net, inst.net.nodes
+    reach = reachable_nodes(net, names[node], _in_mask(net, ~blocked))
+    touched = 0
+    for n in reach:
+        touched |= inst.incident_mask[inst.index[n]]
+    count = (undecided & touched).bit_count()
+    if count > UNCERTAIN_EDGE_CAP:
         raise TooManyUncertainEdges(
-            f"{undecided} uncertain edges exceed the cap of {UNCERTAIN_EDGE_CAP}"
+            f"{count} uncertain edges exceed the cap of {UNCERTAIN_EDGE_CAP}"
         )
 
 
@@ -252,9 +285,14 @@ class _Planner:
     """Memoized expectimax over beliefs (node id, known mask, blocked mask).
 
     Many beliefs share the inputs of their graph searches, so sink
-    reachability is cached per (node, blocked mask) and open-edge
-    distances per (node, open mask); misses call the network module.
+    reachability is cached per (node, blocked mask), open-edge distances
+    per (node, open mask) and free-space distances to the sink per blocked
+    mask; misses call the network module.
     """
+
+    # relative slack on pruning: reveal weights may sum to 1 - eps, so a
+    # computed value can fall a few ulps below its lower bound
+    PRUNE_MARGIN = 1e-9
 
     def __init__(
         self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
@@ -264,6 +302,7 @@ class _Planner:
         self._memo: dict[tuple[int, int, int], tuple[float, float, Optional[str]]] = {}
         self._reach: dict[tuple[int, int], bool] = {}
         self._dist: dict[tuple[int, int], tuple] = {}
+        self._free: dict[int, tuple[float, ...]] = {}
 
     def belief(self, k: KnowledgeState) -> tuple[int, int]:
         """(known, blocked) of k's observations with the model's
@@ -275,8 +314,9 @@ class _Planner:
         self, current: str, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
         """Cap checked entry point: value() over the remaining unknowns."""
-        _check_cap(self.inst, known)
-        return self.value(self.inst.index[current], known, blocked)
+        node = self.inst.index[current]
+        _check_cap(self.inst, node, known, blocked)
+        return self.value(node, known, blocked)
 
     def value(
         self, node: int, known: int, blocked: int
@@ -306,11 +346,30 @@ class _Planner:
         options: list[tuple[float, str, float]] = []
         if sink_dist is not None:
             options.append((sink_dist, names[inst.sink], 0.0))
-        for other, dist in open_dist:
-            if not inst.incident_mask[other] & ~known:
-                continue
+        # (lower bound, node id, distance) per frontier target; a lone
+        # option is never pruned, so it keeps its distance as the bound
+        frontier = [
+            (dist, other, dist)
+            for other, dist in open_dist
+            if inst.incident_mask[other] & ~known
+        ]
+        if len(options) + len(frontier) > 1:
+            # branch and bound: from a frontier target every outcome costs
+            # at least its free-space distance to the sink or the failure
+            # cost, so a target whose bound exceeds the best value found
+            # cannot win and its reveal is never enumerated
+            free, fc = self._free_distances(blocked), self.failure_cost
+            frontier = sorted(
+                (dist + min(free[other], fc), other, dist)
+                for _, other, dist in frontier
+            )
+        best = options[0][0] if options else math.inf
+        for bound, other, dist in frontier:
+            if bound - best > self.PRUNE_MARGIN * abs(best):
+                break
             ev, ef = _reveal_expectation(inst, other, known, blocked, self.value)
             options.append((dist + ev, names[other], ef))
+            best = min(best, dist + ev)
 
         if not options:
             return self.failure_cost, 1.0, None
@@ -327,6 +386,19 @@ class _Planner:
             net, names = inst.net, inst.net.nodes
             reach = reachable_nodes(net, names[node], _in_mask(net, ~blocked))
             hit = self._reach[key] = names[inst.sink] in reach
+        return hit
+
+    def _free_distances(self, blocked: int) -> tuple[float, ...]:
+        """Per node id, the distance to the sink over every edge not known
+        blocked (inf where the sink is unreachable)."""
+        hit = self._free.get(blocked)
+        if hit is None:
+            inst = self.inst
+            names = inst.net.nodes
+            dist = dijkstra_distances(
+                inst.reverse, names[inst.sink], _in_mask(inst.net, ~blocked)
+            )
+            hit = self._free[blocked] = tuple(dist.get(n, math.inf) for n in names)
         return hit
 
     def _open_distances(
@@ -734,7 +806,7 @@ def evaluate_policy_exact(
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
     inst = _compile(net, model, sink, overrides)
-    _check_cap(inst, 0)
+    _check_cap(inst, inst.index[source], 0, inst.blocked)
     memo: dict[tuple[int, int, int], tuple[float, float]] = {}
     active: set = set()
 

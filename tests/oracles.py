@@ -153,6 +153,11 @@ class ReferencePlanner:
                 assignment[edge_id] = s
         return assignment
 
+    def action(self, knowledge: KnowledgeState) -> Optional[str]:
+        """Best target from a knowledge state of the planner's network."""
+        observed = {e.id: knowledge.state(e.id) for e in self.net.edges}
+        return self.value(knowledge.current, self.base_assignment(observed))[2]
+
     def value(self, current: str, assignment: dict) -> tuple:
         key = (current, tuple(sorted((e, s.value) for e, s in assignment.items())))
         hit = self._memo.get(key)
@@ -211,33 +216,6 @@ class ReferencePlanner:
             total_v += weight * v
             total_f += weight * f
         return total_v, total_f
-
-
-def reference_expected_time(
-    net: RoadNetwork,
-    model: BlockageModel,
-    source: str,
-    sink: str,
-    failure_cost: float,
-) -> tuple[float, float]:
-    """(expected time, failure probability) from ReferencePlanner."""
-    planner = ReferencePlanner(net, model, sink, failure_cost)
-    value, fail, _ = planner.value(source, planner.base_assignment())
-    return value, fail
-
-
-def reference_action(
-    net: RoadNetwork,
-    model: BlockageModel,
-    knowledge: KnowledgeState,
-    sink: str,
-    failure_cost: float,
-) -> Optional[str]:
-    """Best target from a knowledge state according to ReferencePlanner."""
-    planner = ReferencePlanner(net, model, sink, failure_cost)
-    observed = {e.id: knowledge.state(e.id) for e in net.edges}
-    assignment = planner.base_assignment(observed)
-    return planner.value(knowledge.current, assignment)[2]
 
 
 def enumerate_worlds(model: BlockageModel, overrides: dict | None = None):
@@ -443,3 +421,47 @@ def random_instance(
 
     source, sink = (nodes[int(i)] for i in gen.choice(n, size=2, replace=False))
     return net, model, source, sink
+
+
+def random_grid(
+    seed: int,
+    rows: int,
+    cols: int,
+    uncertain: int,
+    directed: bool = False,
+):
+    """Random rows x cols grid full of ties: (net, model, source, sink).
+
+    Every cost is 1 or 2 and each of `uncertain` random roads has blockage
+    probability 0.25, 0.5 or 0.75, the rest are certainly open, so
+    equal-cost paths and equal-value targets are common. With
+    directed=True each road runs one way, in a random direction, and about
+    half of them get a twin running back with its own cost.
+    """
+    gen = np.random.default_rng(seed)
+    nodes = tuple(f"g{r}_{c}" for r in range(rows) for c in range(cols))
+    pairs = [
+        (f"g{r}_{c}", f"g{r + dr}_{c + dc}")
+        for r in range(rows)
+        for c in range(cols)
+        for dr, dc in ((0, 1), (1, 0))
+        if r + dr < rows and c + dc < cols
+    ]
+    edges = []
+    for u, v in pairs:
+        if directed and gen.uniform() < 0.5:
+            u, v = v, u
+        hops = [(u, v)]
+        if directed and gen.uniform() < 0.5:
+            hops.append((v, u))
+        for a, b in hops:
+            edges.append(Edge(f"e{len(edges)}", a, b, float(gen.integers(1, 3))))
+    net = RoadNetwork(nodes=nodes, edges=tuple(edges), directed=directed)
+    chosen = set(int(i) for i in gen.choice(len(edges), size=uncertain, replace=False))
+    probs = {
+        e.id: float(gen.choice((0.25, 0.5, 0.75))) if i in chosen else 0.0
+        for i, e in enumerate(edges)
+    }
+    ends = gen.choice(len(nodes), size=2, replace=False)
+    source, sink = (nodes[int(i)] for i in ends)
+    return net, BlockageModel(probabilities=probs), source, sink

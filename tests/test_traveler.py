@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from ctproute.traveler import (
     OptimalPolicy,
     Policy,
     ReplanGreedyPolicy,
+    _Planner,
     default_failure_cost,
     evaluate_policy_exact,
     exact_expected_time,
@@ -86,6 +89,21 @@ class TestKnowledge:
         net, _ = tri_fixture()
         with pytest.raises(UnknownEdge):
             fresh_knowledge(net, "S").state("ghost")
+
+
+def _certain_road_beside_uncertain_chain(behind):
+    """A certain road S-T of cost 1 and a chain of 21 uncertain roads that
+    no traveler from S can reach: the chain is its own component, or it
+    hangs off S behind a road certainly blocked."""
+    chain = [f"A{i}" for i in range(22)]
+    specs = [("st", "S", "T", 1.0)]
+    specs += [(f"c{i}", u, v, 1.0) for i, (u, v) in enumerate(zip(chain, chain[1:]))]
+    probabilities = {e: 0.5 for e, *_ in specs}
+    probabilities["st"] = 0.0
+    if behind == "blocked_road":
+        specs.append(("sa", "S", "A0", 1.0))
+        probabilities["sa"] = 1.0
+    return make_network(specs), BlockageModel(probabilities=probabilities)
 
 
 class TestExactExpectedTime:
@@ -160,6 +178,12 @@ class TestExactExpectedTime:
         model = BlockageModel(probabilities={e.id: 0.5 for e in net.edges})
         with pytest.raises(TooManyUncertainEdges):
             exact_expected_time(net, model, "S", "T")
+
+    @pytest.mark.parametrize("behind", ["nothing", "blocked_road"])
+    def test_cap_ignores_roads_no_reveal_can_reach(self, behind):
+        net, model = _certain_road_beside_uncertain_chain(behind)
+        result = exact_expected_time(net, model, "S", "T")
+        assert (result.value, result.failure_probability) == (1.0, 0.0)
 
     def test_default_failure_cost_is_twice_total_cost(self):
         net, _ = tri_fixture()
@@ -506,6 +530,14 @@ class TestExactPolicyEvaluation:
         # the walk reaches T only if the 20 free roads are all open
         assert result.failure_probability == pytest.approx(1.0 - 0.5**20)
 
+    @pytest.mark.parametrize("behind", ["nothing", "blocked_road"])
+    @pytest.mark.parametrize("kind", ["optimal", "replan"])
+    def test_cap_ignores_roads_no_reveal_can_reach(self, behind, kind):
+        net, model = _certain_road_beside_uncertain_chain(behind)
+        policy = make_policy(kind, net, model, "T")
+        result = evaluate_policy_exact(net, model, policy, "S", "T")
+        assert (result.value, result.failure_probability) == (1.0, 0.0)
+
 
 class TestSimulation:
     def test_deterministic_worlds_are_walked_exactly(self):
@@ -650,11 +682,19 @@ def test_optimal_never_exceeds_greedy(seed):
 
 
 PLANNER_VARIANTS = {
-    "default": {},
-    "directed": {"directed": True},
-    "certain_blocked": {"certain_blocked": True},
-    "parallel": {"parallel": True},
-    "all": {"directed": True, "parallel": True, "certain_blocked": True},
+    "default": oracles.random_instance,
+    "directed": partial(oracles.random_instance, directed=True),
+    "certain_blocked": partial(oracles.random_instance, certain_blocked=True),
+    "parallel": partial(oracles.random_instance, parallel=True),
+    "all": partial(
+        oracles.random_instance, directed=True, parallel=True, certain_blocked=True
+    ),
+    # integer costs and three probabilities: equal-cost paths and tied
+    # targets everywhere
+    "int_grid": partial(oracles.random_grid, rows=3, cols=3, uncertain=4),
+    "int_grid_directed": partial(
+        oracles.random_grid, rows=3, cols=3, uncertain=4, directed=True
+    ),
 }
 
 
@@ -671,20 +711,35 @@ def _contradicting(model, world):
 
 @pytest.mark.parametrize("variant", PLANNER_VARIANTS)
 def test_planner_matches_reference_bit_for_bit(variant):
+    # failure costs below every path make min(h, failure cost) the binding
+    # lower bound of the planner's pruning
     for seed in range(40):
-        net, model, source, sink = oracles.random_instance(
-            seed, **PLANNER_VARIANTS[variant]
-        )
-        fc = default_failure_cost(net)
-        got = exact_expected_time(net, model, source, sink)
-        want = oracles.reference_expected_time(net, model, source, sink, fc)
-        assert (got.value, got.failure_probability) == want
-        for stream in range(2):
-            world = sample_realization(model, seed, stream=stream)
-            for w in (world, _contradicting(model, world)):
-                recorder = _RecordingPolicy(OptimalPolicy(net, model, sink, fc))
-                walk_policy(net, w, recorder, source, sink, fc)
-                for k in recorder.snapshots:
-                    assert optimal_action(
-                        net, model, k, sink
-                    ) == oracles.reference_action(net, model, k, sink, fc)
+        net, model, source, sink = PLANNER_VARIANTS[variant](seed)
+        for fc in (default_failure_cost(net), 0.5, 1.0):
+            reference = oracles.ReferencePlanner(net, model, sink, fc)
+            got = exact_expected_time(net, model, source, sink, fc)
+            want = reference.value(source, reference.base_assignment())
+            assert (got.value, got.failure_probability) == want[:2]
+            for stream in range(2):
+                world = sample_realization(model, seed, stream=stream)
+                for w in (world, _contradicting(model, world)):
+                    recorder = _RecordingPolicy(OptimalPolicy(net, model, sink, fc))
+                    walk_policy(net, w, recorder, source, sink, fc)
+                    for k in recorder.snapshots:
+                        assert optimal_action(
+                            net, model, k, sink, fc
+                        ) == reference.action(k)
+
+
+def test_planner_prunes_targets_that_cannot_win():
+    # a fixed 3x4 grid with 10 uncertain roads, corner to corner: the
+    # unpruned recursion expands every belief the reference expands
+    net, model, _, _ = oracles.random_grid(16, rows=3, cols=4, uncertain=10)
+    source, sink = net.nodes[0], net.nodes[-1]
+    fc = default_failure_cost(net)
+    planner = _Planner(net, model, sink, fc)
+    got = planner.plan(source, planner.inst.known, planner.inst.blocked)
+    reference = oracles.ReferencePlanner(net, model, sink, fc)
+    want = reference.value(source, reference.base_assignment())
+    assert got == want
+    assert 2 * len(planner._memo) <= len(reference._memo)
