@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Record benchmark runs as committed BENCH_<label>.json rows.
 
-Runs ``perfbench/run.py`` for one workload over fixed seeds, in one or
-more checkouts, and writes each checkout's JSON result lines to
-``BENCH_<label>.json``: one JSON object per line, the benchmark's result
-line plus the label, workload, seed and seconds it ran with. With two
-checkouts every seed runs in both, and which one goes first alternates
-from seed to seed, so a slow spell of a shared machine falls on both
-sides alike.
+Runs ``perfbench/run.py`` for one workload over fixed seeds, in one
+checkout or in a pair of them, and writes each checkout's JSON result
+lines to ``BENCH_<label>.json``: one JSON object per line, the
+benchmark's result line plus the label, workload, seed and seconds it
+ran with. Each run lasts ``run_seconds`` of the ``BENCHMARK.json`` next
+to this script, the benchmark's own run length. With two checkouts every
+seed runs in both, and which one goes first alternates from seed to
+seed, so a slow spell of a shared machine falls on both sides alike.
 
 Usage (from a checkout root; LABEL=DIR names a checkout to run):
     python3 scripts/bench_record.py new=. old=../parent \\
-        --workload grid-exact --seeds 901 902 903 --seconds 40
+        --workload grid-exact --seeds 901 902 903
 """
 
 from __future__ import annotations
@@ -23,15 +24,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=DIR")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--out", type=Path, default=Path("."))
     args = parser.parse_args()
+    if len(args.checkouts) > 2:
+        parser.error("give one checkout, or two to compare")
+    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
 
     sides = []
     for spec in args.checkouts:
@@ -39,6 +44,8 @@ def main() -> int:
         if not sep or not label:
             parser.error(f"expected LABEL=DIR, got {spec!r}")
         sides.append((label, Path(root).resolve()))
+    if len({label for label, _ in sides}) < len(sides):
+        parser.error("the two checkouts need different labels")
 
     with contextlib.ExitStack() as stack:
         files = {
@@ -49,7 +56,7 @@ def main() -> int:
             for label, root in sides if i % 2 == 0 else sides[::-1]:
                 command = [
                     sys.executable, "perfbench/run.py", "--workload", args.workload,
-                    "--seed", str(seed), "--seconds", str(args.seconds), "--trace", "0",
+                    "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
                 ]
                 done = subprocess.run(
                     command, cwd=root, capture_output=True, text=True
@@ -62,7 +69,7 @@ def main() -> int:
                     "label": label,
                     "workload": args.workload,
                     "seed": seed,
-                    "seconds": args.seconds,
+                    "seconds": seconds,
                     **json.loads(done.stdout.splitlines()[-1]),
                 }
                 files[label].write(json.dumps(row) + "\n")

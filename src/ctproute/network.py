@@ -110,6 +110,15 @@ class RoadNetwork:
             adj[e.v].append(e)
         return {n: tuple(es) for n, es in adj.items()}
 
+    @cached_property
+    def reverse(self) -> "RoadNetwork":
+        """The network with every edge turned around, same edge ids; the
+        network itself when undirected."""
+        if not self.directed:
+            return self
+        flipped = tuple(Edge(e.id, e.v, e.u, e.cost) for e in self.edges)
+        return RoadNetwork(nodes=self.nodes, edges=flipped, directed=True)
+
     def require_node(self, node: str) -> None:
         if node not in self.node_set:
             raise UnknownNode(f"unknown node {node!r}")

@@ -56,7 +56,7 @@ Many beliefs share the inputs of their graph searches, so the planner
 keeps four caches: whether the sink is reachable with undecided edges
 assumed open per (node, blocked mask), the distances over known open
 edges per (node, known & ~blocked), h per blocked mask (one search from
-the sink over the reversed network, computed only for a belief with at
+the sink over net.reverse, computed only for a belief with at
 least two options), and the memo of values per belief. A cache miss runs
 the network module's reachable_nodes or dijkstra_distances.
 """
@@ -95,6 +95,10 @@ from .network import (
 
 # most undecided uncertain edges an exact expectation may enumerate
 UNCERTAIN_EDGE_CAP = 20
+
+# relative slack on pruning: reveal weights may sum to 1 - eps, so a
+# computed value can fall a few ulps below its lower bound
+PRUNE_MARGIN = 1e-9
 
 
 def default_failure_cost(net: RoadNetwork) -> float:
@@ -175,7 +179,6 @@ class _Instance:
     """
 
     net: RoadNetwork
-    reverse: RoadNetwork  # net with edges turned around (net if undirected)
     index: Mapping[str, int]  # node name -> node id
     incident: tuple[tuple[int, ...], ...]  # edge bits per node, net.incident order
     incident_mask: tuple[int, ...]  # the same bits per node as one mask
@@ -213,13 +216,8 @@ def _compile(
             blocked |= 1 << b
         outcomes.append(((blocked & 1 << b, 1.0),))
     incident = tuple(tuple(bit[e.id] for e in net.incident[n]) for n in net.nodes)
-    reverse = net
-    if net.directed:
-        flipped = tuple(Edge(e.id, e.v, e.u, e.cost) for e in net.edges)
-        reverse = RoadNetwork(nodes=net.nodes, edges=flipped, directed=True)
     return _Instance(
         net=net,
-        reverse=reverse,
         index={n: i for i, n in enumerate(net.nodes)},
         incident=incident,
         incident_mask=tuple(sum(1 << b for b in bits) for bits in incident),
@@ -289,10 +287,6 @@ class _Planner:
     per (node, open mask) and free-space distances to the sink per blocked
     mask; misses call the network module.
     """
-
-    # relative slack on pruning: reveal weights may sum to 1 - eps, so a
-    # computed value can fall a few ulps below its lower bound
-    PRUNE_MARGIN = 1e-9
 
     def __init__(
         self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
@@ -365,7 +359,7 @@ class _Planner:
             )
         best = options[0][0] if options else math.inf
         for bound, other, dist in frontier:
-            if bound - best > self.PRUNE_MARGIN * abs(best):
+            if bound - best > PRUNE_MARGIN * abs(best):
                 break
             ev, ef = _reveal_expectation(inst, other, known, blocked, self.value)
             options.append((dist + ev, names[other], ef))
@@ -396,7 +390,7 @@ class _Planner:
             inst = self.inst
             names = inst.net.nodes
             dist = dijkstra_distances(
-                inst.reverse, names[inst.sink], _in_mask(inst.net, ~blocked)
+                inst.net.reverse, names[inst.sink], _in_mask(inst.net, ~blocked)
             )
             hit = self._free[blocked] = tuple(dist.get(n, math.inf) for n in names)
         return hit

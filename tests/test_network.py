@@ -165,6 +165,18 @@ class TestNetworkValidation:
         assert {e.id for e in net.incident["A"]} == {"e1", "e2"}
         assert {e.id for e in net.outgoing["B"]} == {"e1", "e2"}
 
+    def test_reverse_turns_directed_edges_and_is_built_once(self):
+        net = make_network([("e", "A", "B", 2.0), ("f", "B", "C", 1.0)], directed=True)
+        rev = net.reverse
+        assert rev is net.reverse
+        assert rev.directed and rev.nodes == net.nodes
+        assert [(e.id, e.u, e.v, e.cost) for e in rev.edges] == [
+            ("e", "B", "A", 2.0), ("f", "C", "B", 1.0)
+        ]
+        assert dijkstra_distances(rev, "C") == {"C": 0.0, "B": 1.0, "A": 3.0}
+        undirected = make_network([("e", "A", "B", 2.0)])
+        assert undirected.reverse is undirected
+
     def test_directed_outgoing_is_one_way_but_incident_is_not(self):
         net = make_network([("e", "A", "B", 1.0)], directed=True)
         assert [e.id for e in net.outgoing["A"]] == ["e"]
