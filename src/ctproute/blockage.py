@@ -158,14 +158,12 @@ class Realization:
 def expit(logits: "np.ndarray | float") -> np.ndarray:
     """Elementwise logistic function, exact at extreme logits instead of
     overflowing."""
-    # np.where still evaluates the branch that is thrown away, so both the
-    # overflow and the resulting inf/inf warnings are expected noise here
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(
-            logits >= 0,
-            1.0 / (1.0 + np.exp(-logits)),
-            np.exp(logits) / (1.0 + np.exp(logits)),
-        )
+    e = np.exp(-np.abs(logits))
+    # 1/(1+e) or e/(1+e), divided in place: a large logit matrix then
+    # holds three arrays of its size at the peak, not four
+    p = np.where(logits >= 0, 1.0, e)
+    p /= 1.0 + e
+    return p
 
 
 def blockage_probabilities(Z: CovariateMatrix, beta: BetaVector) -> BlockageModel:

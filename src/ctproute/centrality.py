@@ -18,8 +18,6 @@ each edge, with equal splitting across ties and no normalization.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -34,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .network import RoadNetwork, dijkstra_distances
-from .render import fmt
+from .render import csv_text, fmt
 from .traveler import (
     OptimalPolicy,
     default_failure_cost,
@@ -288,12 +286,10 @@ def write_centrality_csv(
     Standard error columns are empty for the exact method. When a
     geodesic baseline map is supplied it is appended as a final column.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = CSV_HEADER.split(",")
     if geodesic is not None:
         header.append("geodesic")
-    writer.writerow(header)
+    records = []
     for row in table.rows:
         record = [
             row.edge_id,
@@ -311,5 +307,5 @@ def write_centrality_csv(
             if row.edge_id not in geodesic:
                 raise UnknownEdge(f"no geodesic score for edge {row.edge_id!r}")
             record.append(fmt(geodesic[row.edge_id]))
-        writer.writerow(record)
-    return buf.getvalue()
+        records.append(record)
+    return csv_text(header, records)

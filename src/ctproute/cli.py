@@ -15,8 +15,6 @@ stderr), 3 exact method refused because too many edges are uncertain.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import sys
 from pathlib import Path
 from typing import Optional
@@ -32,7 +30,7 @@ from .blockage import (
 )
 from .errors import CtprouteError, TooManyUncertainEdges, ValidationError
 from .network import RoadNetwork, parse_graph_document
-from .render import fmt, render_json
+from .render import csv_text, fmt, render_json
 from .traveler import (
     OptimalPolicy,
     default_failure_cost,
@@ -228,14 +226,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         failure_cost=config["failure_cost"],
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["replicate", "travel_time", "failed"])
-    for r in range(dist.replications):
-        writer.writerow(
-            [r, fmt(dist.times[r]), "true" if dist.failed[r] else "false"]
-        )
-    _write_text(args.output, buf.getvalue())
+    rows = (
+        [r, fmt(dist.times[r]), "true" if dist.failed[r] else "false"]
+        for r in range(dist.replications)
+    )
+    _write_text(args.output, csv_text(["replicate", "travel_time", "failed"], rows))
     config["policy"] = args.policy
     sys.stdout.write(render_json({"summary": dist.summary(), "config": config}))
     return 0
@@ -246,9 +241,14 @@ def _expert_logits(
 ) -> tuple[list, tuple[str, ...], str]:
     """Logit vectors in covariate row order, clamped edges, and the form."""
     form = elicit_mod.expert_csv_form(expert_text)
+    if form == "point":
+        prob_maps = [read_probabilities_csv(expert_text)]
+    else:
+        prob_maps = list(elicit_mod.read_expert_draws_csv(expert_text).values())
     edge_ids = list(Z.edge_ids)
-
-    def to_logits(probs: dict[str, float]) -> tuple:
+    vectors = []
+    clamped: list[str] = []
+    for probs in prob_maps:
         missing = [e for e in edge_ids if e not in probs]
         extra = sorted(set(probs) - set(edge_ids))
         if missing or extra:
@@ -256,28 +256,13 @@ def _expert_logits(
                 f"expert rows must match covariate rows exactly; "
                 f"missing {missing}, extra {extra}"
             )
-        return elicit_mod.logits_from_probabilities(
+        P, idx = elicit_mod.logits_from_probabilities(
             [probs[e] for e in edge_ids], eps
         )
-
-    clamped: list[str] = []
-
-    def note_clamped(indices) -> None:
-        for i in indices:
+        vectors.append(P)
+        for i in idx:
             if edge_ids[i] not in clamped:
                 clamped.append(edge_ids[i])
-
-    vectors = []
-    if form == "point":
-        P, idx = to_logits(read_probabilities_csv(expert_text))
-        note_clamped(idx)
-        vectors.append(P)
-    else:
-        draws = elicit_mod.read_expert_draws_csv(expert_text)
-        for draw_id in draws:
-            P, idx = to_logits(draws[draw_id])
-            note_clamped(idx)
-            vectors.append(P)
     return vectors, tuple(clamped), form
 
 
@@ -308,14 +293,12 @@ def _run_elicit(args: argparse.Namespace) -> int:
         else:
             sample = elicit_mod.mix_experts(Z, vectors, args.reps, args.seed)
         summaries = elicit_mod.pushforward_probabilities(Z, sample)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["edge_id", "mean", "q05", "median", "q95"])
-        for s in summaries:
-            writer.writerow(
-                [s.edge_id, fmt(s.mean), fmt(s.q05), fmt(s.median), fmt(s.q95)]
-            )
-        _write_text(args.pushforward, buf.getvalue())
+        rows = (
+            [s.edge_id, fmt(s.mean), fmt(s.q05), fmt(s.median), fmt(s.q95)]
+            for s in summaries
+        )
+        header = ["edge_id", "mean", "q05", "median", "q95"]
+        _write_text(args.pushforward, csv_text(header, rows))
     _emit(render_json(report), args.output)
     return 0
 

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import ParseError, UnknownNode, ValidationError
 
@@ -305,14 +305,3 @@ def reachable_nodes(
                 stack.append(other)
     return seen
 
-
-def path_cost(net: RoadNetwork, nodes: Iterable[str]) -> float:
-    """Total cost of a node sequence using the cheapest edge per hop."""
-    nodes = list(nodes)
-    total = 0.0
-    for a, b in zip(nodes, nodes[1:]):
-        e = cheapest_edge(net, a, b)
-        if e is None:
-            raise ValidationError(f"no edge joins {a!r} and {b!r}")
-        total += e.cost
-    return total

@@ -6,14 +6,26 @@ artifact is written, so identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from typing import Any
+from typing import Any, Iterable, Sequence
 
 
 def fmt(x: float) -> str:
     """12 significant digit rendering of a float."""
     return format(float(x), ".12g")
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of a header row and the rows after it, newline terminated
+    lines, quoted as the csv module quotes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _write(obj: Any, out: list[str], indent: int, level: int) -> None:

@@ -24,10 +24,11 @@ The planner, the policies, the walk and the exact policy evaluator share
 one belief representation. Edge b is bit b of a mask (net.edge_bit), and
 a KnowledgeState is the current node plus two ints: the edges observed so
 far and, among them, the edges observed blocked. A reveal ORs bits into
-both masks, and every memo and policy cache is keyed on (node, known,
-blocked). The knowledge holds observations only: the planner folds the
-edges of probability 0 or 1 in when it plans, with observations winning,
-so policies that do not plan never act on a model certainty.
+both masks, and the planner's memo and each policy's one memo are keyed
+on (node, known, blocked). The knowledge holds observations only: the
+planner folds the edges of probability 0 or 1 in when it plans, with
+observations winning, so policies that do not plan never act on a model
+certainty.
 
 The planner and the exact policy evaluator compile (network, model, sink)
 into one immutable instance: node i is net.nodes[i], each edge bit has its
@@ -63,6 +64,7 @@ the network module's reachable_nodes or dijkstra_distances.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -480,6 +482,20 @@ class Policy:
         raise NotImplementedError
 
 
+def _memoized(decide: Callable) -> Callable:
+    """Memoize a concrete policy's decide in its one dict, self._memo,
+    keyed on (current, known, blocked); each class still owns its decide."""
+
+    @functools.wraps(decide)
+    def memoized(self, k: KnowledgeState) -> Optional[str]:
+        key = (k.current, k.known, k.blocked)
+        if key not in self._memo:
+            self._memo[key] = decide(self, k)
+        return self._memo[key]
+
+    return memoized
+
+
 def _known_open_step(net: RoadNetwork, k: KnowledgeState, nxt: str) -> str:
     """Edge id of the cheapest known open edge from k.current to nxt."""
     edge = cheapest_edge(net, k.current, nxt, _in_mask(net, k.known & ~k.blocked))
@@ -502,29 +518,24 @@ class OptimalPolicy(Policy):
         self.net = net
         self.sink = sink
         self._planner = _Planner(net, model, sink, failure_cost)
-        self._cache: dict = {}
+        self._memo: dict = {}
 
+    @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
-        key = (k.current, k.known, k.blocked)
-        if key in self._cache:
-            return self._cache[key]
         known, blocked = self._planner.belief(k)
         _, _, target = self._planner.plan(k.current, known, blocked)
         if target is None:
-            step = None
-        else:
-            if target == k.current:
-                raise ValidationError(
-                    "knowledge state leaves undecided edges at the current node"
-                )
-            path = shortest_path(
-                self.net, k.current, target, _in_mask(self.net, known & ~blocked)
+            return None
+        if target == k.current:
+            raise ValidationError(
+                "knowledge state leaves undecided edges at the current node"
             )
-            if path is None:
-                raise ValidationError("planner chose an unreachable target")
-            step = _known_open_step(self.net, k, path.nodes[1])
-        self._cache[key] = step
-        return step
+        path = shortest_path(
+            self.net, k.current, target, _in_mask(self.net, known & ~blocked)
+        )
+        if path is None:
+            raise ValidationError("planner chose an unreachable target")
+        return _known_open_step(self.net, k, path.nodes[1])
 
 
 class ReplanGreedyPolicy(Policy):
@@ -540,20 +551,20 @@ class ReplanGreedyPolicy(Policy):
     def __init__(self, net: RoadNetwork, sink: str):
         self.net = net
         self.sink = sink
-        self._cache: dict = {}
+        self._memo: dict = {}
 
+    @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
-        key = (k.current, k.known, k.blocked)
-        if key in self._cache:
-            return self._cache[key]
+        return self._greedy_step(k)
+
+    def _greedy_step(self, k: KnowledgeState) -> Optional[str]:
+        """The greedy decision, not memoized."""
         unblocked = _in_mask(self.net, ~k.blocked)
         path = shortest_path(self.net, k.current, self.sink, unblocked)
-        step = None if path is None else _known_open_step(self.net, k, path.nodes[1])
-        self._cache[key] = step
-        return step
+        return None if path is None else _known_open_step(self.net, k, path.nodes[1])
 
 
-class FixedRoutePolicy(Policy):
+class FixedRoutePolicy(ReplanGreedyPolicy):
     """Follow a committed route; fall back to greedy replanning once some
     remaining hop has every edge between its endpoints known blocked.
 
@@ -576,34 +587,25 @@ class FixedRoutePolicy(Policy):
             raise BadRoute("route revisits a node")
         if route[-1] != sink:
             raise BadRoute(f"route must end at the sink {sink!r}")
+        bit = net.edge_bit
+        hops = []  # per hop, the mask of the edges from its start to its end
         for a, b in zip(route, route[1:]):
-            if cheapest_edge(net, a, b) is None:
+            hop = sum(1 << bit[e.id] for e in net.outgoing[a] if e.other(a) == b)
+            if not hop:
                 raise BadRoute(f"route hop {a!r} to {b!r} has no edge")
-        self.net = net
-        self.sink = sink
+            hops.append(hop)
+        super().__init__(net, sink)
         self.route = route
-        self._index = {node: i for i, node in enumerate(route)}
-        self._greedy = ReplanGreedyPolicy(net, sink)
-        self._cache: dict = {}
+        self._hops = tuple(hops)
+        # the sink has no hop of its own, so a traveler there replans
+        self._index = {node: i for i, node in enumerate(route[:-1])}
 
-    def _remaining_clean(self, k: KnowledgeState, i: int) -> bool:
-        unblocked = _in_mask(self.net, ~k.blocked)
-        for a, b in zip(self.route[i:], self.route[i + 1 :]):
-            if cheapest_edge(self.net, a, b, unblocked) is None:
-                return False
-        return True
-
+    @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
-        key = (k.current, k.known, k.blocked)
-        if key in self._cache:
-            return self._cache[key]
         i = self._index.get(k.current)
-        if i is not None and i < len(self.route) - 1 and self._remaining_clean(k, i):
-            step: Optional[str] = _known_open_step(self.net, k, self.route[i + 1])
-        else:
-            step = self._greedy.decide(k)
-        self._cache[key] = step
-        return step
+        if i is not None and all(hop & ~k.blocked for hop in self._hops[i:]):
+            return _known_open_step(self.net, k, self.route[i + 1])
+        return self._greedy_step(k)
 
 
 def make_policy(

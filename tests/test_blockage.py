@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ctproute.blockage import (
     EdgeState,
     Realization,
     blockage_probabilities,
+    expit,
     read_covariates_csv,
     read_probabilities_csv,
     sample_realization,
@@ -115,6 +118,43 @@ class TestLogisticProbabilities:
                 expected, abs=1e-15
             )
         assert model.covariates is Z and model.beta is beta
+
+    def test_expit_equals_two_branch_formula_without_warnings(self):
+        def two_branch(x):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.where(
+                    x >= 0,
+                    1.0 / (1.0 + np.exp(-x)),
+                    np.exp(x) / (1.0 + np.exp(x)),
+                )
+
+        extremes = np.array([0.0, 5e-324, 709.7, 745.2, 1e308, math.inf])
+        extremes = np.concatenate([extremes, -extremes])  # -0.0 included
+        scales = np.repeat([1.0, 10.0, 100.0, 1000.0], 1000)
+        draws = np.random.default_rng(0).standard_normal(scales.size) * scales
+        x = np.concatenate([extremes, draws])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = expit(x)
+            scalars = [expit(float(v)) for v in extremes]
+        want = two_branch(x)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        for v, g in zip(extremes, scalars):
+            w = two_branch(float(v))
+            assert g == w and type(g) is type(w) and np.signbit(g) == np.signbit(w)
+
+    def test_expit_holds_at_most_three_arrays_at_its_peak(self):
+        # the pushforward takes expit of a roads x draws matrix, so its
+        # temporaries set the elicit subcommand's peak memory
+        x = np.random.default_rng(0).standard_normal(100_000)
+        tracemalloc.start()
+        try:
+            expit(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * x.nbytes
 
     def test_extreme_logits_saturate_cleanly(self):
         Z = CovariateMatrix(

@@ -19,7 +19,6 @@ from ctproute.network import (
     dump_network,
     load_network,
     parse_graph_document,
-    path_cost,
     reachable_nodes,
     shortest_path,
 )
@@ -264,14 +263,6 @@ class TestShortestPaths:
         assert reachable_nodes(net, "A") == {"A", "B", "C"}
         assert reachable_nodes(net, "A", lambda e: e.id != "e2") == {"A", "B"}
 
-    def test_path_cost_uses_cheapest_edge_per_hop(self):
-        net = make_network(
-            [("slow", "A", "B", 5.0), ("fast", "A", "B", 1.0), ("e", "B", "C", 2.0)]
-        )
-        assert path_cost(net, ("A", "B", "C")) == 3.0
-        with pytest.raises(ValidationError, match="no edge joins"):
-            path_cost(net, ("A", "C"))
-
     def test_unknown_nodes_raise(self):
         net = make_network([("e", "A", "B", 1.0)])
         with pytest.raises(UnknownNode):
@@ -313,4 +304,6 @@ def test_shortest_path_cost_matches_distance_map(seed):
     else:
         assert path.cost == pytest.approx(dist[sink], abs=1e-12)
         assert path.nodes[0] == source and path.nodes[-1] == sink
-        assert path_cost(net, path.nodes) == pytest.approx(path.cost, abs=1e-12)
+        hops = zip(path.nodes, path.nodes[1:])
+        hop_cost = sum(cheapest_edge(net, a, b).cost for a, b in hops)
+        assert hop_cost == pytest.approx(path.cost, abs=1e-12)

@@ -681,6 +681,50 @@ def test_optimal_never_exceeds_greedy(seed):
     assert optimal.value <= greedy.value + 1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=5_000),
+    directed=st.booleans(),
+)
+def test_fixed_route_follows_the_route_until_a_hop_is_known_blocked(
+    seed, directed
+):
+    # integer-cost grids tie everywhere, so a fallback that is not exactly
+    # the greedy policy's decision shows up as a different edge
+    net, model, source, sink = oracles.random_grid(
+        seed, rows=3, cols=4, uncertain=8, directed=directed
+    )
+    gen = np.random.default_rng(seed)
+    avoided = {e.id for e in net.edges if gen.uniform() < 0.3}
+    path = shortest_path(net, source, sink, lambda e: e.id not in avoided)
+    if path is None:
+        return
+    route = path.nodes
+    fixed = FixedRoutePolicy(net, sink, route)
+
+    def hop_known_blocked(k, a, b):
+        joining = [e for e in net.outgoing[a] if e.other(a) == b]
+        return all(k.state(e.id) is EdgeState.BLOCKED for e in joining)
+
+    for stream in range(10):
+        world = sample_realization(model, seed, stream=stream)
+        k = reveal(fresh_knowledge(net, source), source, world)
+        while k.current != sink:
+            step = fixed.decide(k)
+            on_route = k.current in route
+            i = route.index(k.current) if on_route else None
+            if on_route and not any(
+                hop_known_blocked(k, a, b) for a, b in zip(route[i:], route[i + 1 :])
+            ):
+                assert net.edge_by_id[step].other(k.current) == route[i + 1]
+            else:
+                assert step == ReplanGreedyPolicy(net, sink).decide(k)
+            if step is None:
+                break
+            nxt = net.edge_by_id[step].other(k.current)
+            k = reveal(k.moved_to(nxt), nxt, world)
+
+
 PLANNER_VARIANTS = {
     "default": oracles.random_instance,
     "directed": partial(oracles.random_instance, directed=True),
