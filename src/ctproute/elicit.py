@@ -41,6 +41,10 @@ from .errors import (
 DEFAULT_EPS = 1e-6
 PSD_TOLERANCE = 1e-10
 
+# probabilities the pushforward summarises at once (64 KiB of float64):
+# its temporaries stay small however many roads and draws there are
+PUSHFORWARD_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class LogitVector:
@@ -258,18 +262,25 @@ def pushforward_probabilities(
         raise DimensionMismatch(
             f"draws have shape {draws.shape}, want (m, {Z.k})"
         )
-    probs = expit(Z.values @ draws.T)
-    q05, q50, q95 = np.quantile(probs, (0.05, 0.5, 0.95), axis=1)
-    return tuple(
-        RoadProbabilitySummary(
-            edge_id=edge_id,
-            mean=float(np.mean(probs[i])),
-            q05=float(q05[i]),
-            median=float(q50[i]),
-            q95=float(q95[i]),
+    # one product for all roads (a product per block of rows would not
+    # give the same bits), then whole rows of it a block at a time
+    logits = Z.values @ draws.T
+    rows = max(1, PUSHFORWARD_BLOCK // max(1, logits.shape[1]))
+    summaries = []
+    for start in range(0, Z.n, rows):
+        probs = expit(logits[start : start + rows])
+        q05, q50, q95 = np.quantile(probs, (0.05, 0.5, 0.95), axis=1)
+        summaries.extend(
+            RoadProbabilitySummary(
+                edge_id=Z.edge_ids[start + i],
+                mean=float(np.mean(row)),
+                q05=float(q05[i]),
+                median=float(q50[i]),
+                q95=float(q95[i]),
+            )
+            for i, row in enumerate(probs)
         )
-        for i, edge_id in enumerate(Z.edge_ids)
-    )
+    return tuple(summaries)
 
 
 def read_expert_draws_csv(text: str) -> dict[str, dict[str, float]]:

@@ -4,6 +4,12 @@ A network is a list of named nodes plus a list of edges with distinct
 ids, strictly positive finite costs, and endpoints that must exist.
 Parallel edges are allowed, self loops are not. Undirected by default;
 a document level flag switches every edge to one way interpretation.
+
+Edge b is bit b of an int mask (edge_bit numbers net.edges once), and the
+graph searches take the set of passable edges as such a mask: edge b is
+passable iff mask & (1 << b), so -1 passes every edge and ~blocked every
+edge not in blocked. They walk the cached arcs table, which lists each
+node's outgoing edges as (edge bit, far node, cost) in outgoing order.
 """
 
 from __future__ import annotations
@@ -13,11 +19,9 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import ParseError, UnknownNode, ValidationError
-
-PassableFn = Callable[["Edge"], bool]
 
 _DOC_KEYS = {"directed", "nodes", "edges"}
 _EDGE_KEYS = {"id", "u", "v", "cost", "p"}
@@ -100,6 +104,16 @@ class RoadNetwork:
             if not self.directed:
                 adj[e.v].append(e)
         return {n: tuple(es) for n, es in adj.items()}
+
+    @cached_property
+    def arcs(self) -> dict[str, tuple[tuple[int, str, float], ...]]:
+        """(1 << edge bit, far node, cost) of each outgoing edge, in
+        outgoing order; what the graph searches walk."""
+        bit = self.edge_bit
+        return {
+            n: tuple((1 << bit[e.id], e.other(n), e.cost) for e in es)
+            for n, es in self.outgoing.items()
+        }
 
     @cached_property
     def incident(self) -> dict[str, tuple[Edge, ...]]:
@@ -210,10 +224,12 @@ def dump_network(
 
 
 def dijkstra_distances(
-    net: RoadNetwork, source: str, passable: Optional[PassableFn] = None
+    net: RoadNetwork, source: str, mask: int = -1
 ) -> dict[str, float]:
-    """Cheapest travel cost from source to every reachable node."""
+    """Cheapest travel cost from source to every node reachable over the
+    edges in mask."""
     net.require_node(source)
+    arcs = net.arcs
     dist: dict[str, float] = {source: 0.0}
     heap: list[tuple[float, str]] = [(0.0, source)]
     done: set[str] = set()
@@ -222,11 +238,10 @@ def dijkstra_distances(
         if node in done:
             continue
         done.add(node)
-        for e in net.outgoing[node]:
-            if passable is not None and not passable(e):
+        for bit, other, cost in arcs[node]:
+            if not mask & bit:
                 continue
-            other = e.other(node)
-            nd = d + e.cost
+            nd = d + cost
             if nd < dist.get(other, math.inf):
                 dist[other] = nd
                 heapq.heappush(heap, (nd, other))
@@ -234,12 +249,10 @@ def dijkstra_distances(
 
 
 def shortest_path(
-    net: RoadNetwork,
-    source: str,
-    target: str,
-    passable: Optional[PassableFn] = None,
+    net: RoadNetwork, source: str, target: str, mask: int = -1
 ) -> Optional[PathResult]:
-    """Cheapest path from source to target, or None if unreachable.
+    """Cheapest path from source to target over the edges in mask, or None
+    if unreachable.
 
     Ties between equal cost paths are broken toward the lexicographically
     smallest node id sequence, which makes the result deterministic. The
@@ -249,6 +262,7 @@ def shortest_path(
     """
     net.require_node(source)
     net.require_node(target)
+    arcs = net.arcs
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
     done: set[str] = set()
     while heap:
@@ -259,49 +273,34 @@ def shortest_path(
         done.add(node)
         if node == target:
             return PathResult(nodes=seq, cost=d)
-        for e in net.outgoing[node]:
-            if passable is not None and not passable(e):
+        for bit, other, cost in arcs[node]:
+            if not mask & bit or other in done:
                 continue
-            other = e.other(node)
-            if other in done:
-                continue
-            heapq.heappush(heap, (d + e.cost, seq + (other,)))
+            heapq.heappush(heap, (d + cost, seq + (other,)))
     return None
 
 
-def cheapest_edge(
-    net: RoadNetwork,
-    u: str,
-    v: str,
-    passable: Optional[PassableFn] = None,
-) -> Optional[Edge]:
-    """Cheapest passable edge from u to v; ties pick the smallest edge id."""
+def cheapest_edge(net: RoadNetwork, u: str, v: str, mask: int = -1) -> Optional[Edge]:
+    """Cheapest edge in mask from u to v; ties pick the smallest edge id."""
     best: Optional[Edge] = None
-    for e in net.outgoing[u]:
-        if e.other(u) != v:
-            continue
-        if passable is not None and not passable(e):
-            continue
-        if best is None or (e.cost, e.id) < (best.cost, best.id):
-            best = e
+    for bit, other, cost in net.arcs[u]:
+        if other == v and mask & bit:
+            e = net.edges[bit.bit_length() - 1]  # bit is 1 << edge index
+            if best is None or (cost, e.id) < (best.cost, best.id):
+                best = e
     return best
 
 
-def reachable_nodes(
-    net: RoadNetwork, source: str, passable: Optional[PassableFn] = None
-) -> set[str]:
-    """Nodes reachable from source through passable edges."""
+def reachable_nodes(net: RoadNetwork, source: str, mask: int = -1) -> set[str]:
+    """Nodes reachable from source over the edges in mask."""
     net.require_node(source)
+    arcs = net.arcs
     seen = {source}
     stack = [source]
     while stack:
         node = stack.pop()
-        for e in net.outgoing[node]:
-            if passable is not None and not passable(e):
-                continue
-            other = e.other(node)
-            if other not in seen:
+        for bit, other, _ in arcs[node]:
+            if mask & bit and other not in seen:
                 seen.add(other)
                 stack.append(other)
     return seen
-

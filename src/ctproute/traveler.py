@@ -25,10 +25,12 @@ one belief representation. Edge b is bit b of a mask (net.edge_bit), and
 a KnowledgeState is the current node plus two ints: the edges observed so
 far and, among them, the edges observed blocked. A reveal ORs bits into
 both masks, and the planner's memo and each policy's one memo are keyed
-on (node, known, blocked). The knowledge holds observations only: the
-planner folds the edges of probability 0 or 1 in when it plans, with
-observations winning, so policies that do not plan never act on a model
-certainty.
+on (node, known, blocked). The network module's searches take their
+passable edges as such a mask, so a belief's known & ~blocked (known
+open) or ~blocked (not known blocked) goes to them as is. The knowledge
+holds observations only: the planner folds the edges of probability 0 or
+1 in when it plans, with observations winning, so policies that do not
+plan never act on a model certainty.
 
 The planner and the exact policy evaluator compile (network, model, sink)
 into one immutable instance: node i is net.nodes[i], each edge bit has its
@@ -59,7 +61,7 @@ assumed open per (node, blocked mask), the distances over known open
 edges per (node, known & ~blocked), h per blocked mask (one search from
 the sink over net.reverse, computed only for a belief with at
 least two options), and the memo of values per belief. A cache miss runs
-the network module's reachable_nodes or dijkstra_distances.
+the network module's reachable_nodes or dijkstra_distances on the mask.
 """
 
 from __future__ import annotations
@@ -87,7 +89,6 @@ from .errors import (
 )
 from .network import (
     Edge,
-    PassableFn,
     RoadNetwork,
     cheapest_edge,
     dijkstra_distances,
@@ -156,12 +157,6 @@ def reveal(k: KnowledgeState, node: str, world: Realization) -> KnowledgeState:
             if world.state(e.id) is EdgeState.BLOCKED:
                 blocked |= bit
     return KnowledgeState(net, k.current, known, blocked)
-
-
-def _in_mask(net: RoadNetwork, mask: int) -> PassableFn:
-    """Edge predicate for the network routines: edge bit set in mask."""
-    bit = net.edge_bit
-    return lambda e: mask >> bit[e.id] & 1
 
 
 @dataclass(frozen=True)
@@ -243,7 +238,7 @@ def _check_cap(inst: _Instance, node: int, known: int, blocked: int) -> None:
     if undecided.bit_count() <= UNCERTAIN_EDGE_CAP:
         return  # the reachable count is at most this one
     net, names = inst.net, inst.net.nodes
-    reach = reachable_nodes(net, names[node], _in_mask(net, ~blocked))
+    reach = reachable_nodes(net, names[node], ~blocked)
     touched = 0
     for n in reach:
         touched |= inst.incident_mask[inst.index[n]]
@@ -379,8 +374,8 @@ class _Planner:
         hit = self._reach.get(key)
         if hit is None:
             inst = self.inst
-            net, names = inst.net, inst.net.nodes
-            reach = reachable_nodes(net, names[node], _in_mask(net, ~blocked))
+            names = inst.net.nodes
+            reach = reachable_nodes(inst.net, names[node], ~blocked)
             hit = self._reach[key] = names[inst.sink] in reach
         return hit
 
@@ -391,9 +386,7 @@ class _Planner:
         if hit is None:
             inst = self.inst
             names = inst.net.nodes
-            dist = dijkstra_distances(
-                inst.net.reverse, names[inst.sink], _in_mask(inst.net, ~blocked)
-            )
+            dist = dijkstra_distances(inst.net.reverse, names[inst.sink], ~blocked)
             hit = self._free[blocked] = tuple(dist.get(n, math.inf) for n in names)
         return hit
 
@@ -401,19 +394,16 @@ class _Planner:
         self, node: int, open_mask: int
     ) -> tuple[Optional[float], tuple[tuple[int, float], ...]]:
         """Distance to the sink (None if unreachable) and (node id,
-        distance) of every other reachable node, in node id order."""
+        distance) of every other reachable node, in the order the search
+        first reached them."""
         key = (node, open_mask)
         hit = self._dist.get(key)
         if hit is None:
             inst = self.inst
-            net, names = inst.net, inst.net.nodes
-            dist = dijkstra_distances(net, names[node], _in_mask(net, open_mask))
-            others = tuple(
-                (i, dist[n])
-                for i, n in enumerate(names)
-                if i != inst.sink and n in dist
-            )
-            hit = self._dist[key] = (dist.get(names[inst.sink]), others)
+            index, sink = inst.index, inst.net.nodes[inst.sink]
+            dist = dijkstra_distances(inst.net, inst.net.nodes[node], open_mask)
+            others = tuple((index[n], d) for n, d in dist.items() if n != sink)
+            hit = self._dist[key] = (dist.get(sink), others)
         return hit
 
 
@@ -484,12 +474,16 @@ class Policy:
 
 def _memoized(decide: Callable) -> Callable:
     """Memoize a concrete policy's decide in its one dict, self._memo,
-    keyed on (current, known, blocked); each class still owns its decide."""
+    keyed on (current, known, blocked); each class still owns its decide.
+    A traveler at the sink has no decision to make, so every policy
+    refuses it alike."""
 
     @functools.wraps(decide)
     def memoized(self, k: KnowledgeState) -> Optional[str]:
         key = (k.current, k.known, k.blocked)
         if key not in self._memo:
+            if k.current == self.sink:
+                raise ValidationError("traveler is already at the sink")
             self._memo[key] = decide(self, k)
         return self._memo[key]
 
@@ -498,7 +492,7 @@ def _memoized(decide: Callable) -> Callable:
 
 def _known_open_step(net: RoadNetwork, k: KnowledgeState, nxt: str) -> str:
     """Edge id of the cheapest known open edge from k.current to nxt."""
-    edge = cheapest_edge(net, k.current, nxt, _in_mask(net, k.known & ~k.blocked))
+    edge = cheapest_edge(net, k.current, nxt, k.known & ~k.blocked)
     if edge is None:
         raise ValidationError(
             f"no known open edge from {k.current!r} to {nxt!r}; "
@@ -530,9 +524,7 @@ class OptimalPolicy(Policy):
             raise ValidationError(
                 "knowledge state leaves undecided edges at the current node"
             )
-        path = shortest_path(
-            self.net, k.current, target, _in_mask(self.net, known & ~blocked)
-        )
+        path = shortest_path(self.net, k.current, target, known & ~blocked)
         if path is None:
             raise ValidationError("planner chose an unreachable target")
         return _known_open_step(self.net, k, path.nodes[1])
@@ -559,8 +551,7 @@ class ReplanGreedyPolicy(Policy):
 
     def _greedy_step(self, k: KnowledgeState) -> Optional[str]:
         """The greedy decision, not memoized."""
-        unblocked = _in_mask(self.net, ~k.blocked)
-        path = shortest_path(self.net, k.current, self.sink, unblocked)
+        path = shortest_path(self.net, k.current, self.sink, ~k.blocked)
         return None if path is None else _known_open_step(self.net, k, path.nodes[1])
 
 
@@ -587,17 +578,15 @@ class FixedRoutePolicy(ReplanGreedyPolicy):
             raise BadRoute("route revisits a node")
         if route[-1] != sink:
             raise BadRoute(f"route must end at the sink {sink!r}")
-        bit = net.edge_bit
         hops = []  # per hop, the mask of the edges from its start to its end
         for a, b in zip(route, route[1:]):
-            hop = sum(1 << bit[e.id] for e in net.outgoing[a] if e.other(a) == b)
+            hop = sum(bit for bit, far, _ in net.arcs[a] if far == b)
             if not hop:
                 raise BadRoute(f"route hop {a!r} to {b!r} has no edge")
             hops.append(hop)
         super().__init__(net, sink)
         self.route = route
         self._hops = tuple(hops)
-        # the sink has no hop of its own, so a traveler there replans
         self._index = {node: i for i, node in enumerate(route[:-1])}
 
     @_memoized

@@ -4,8 +4,9 @@ Everything here recomputes results by the most literal method available
 — Bellman-Ford relaxation instead of Dijkstra, explicit enumeration of
 realizations and of simple paths instead of recursions over belief
 states or Brandes accumulation — so agreement with the package is
-evidence, not circularity. Only undirected networks are supported,
-which covers every fixture and every default generated instance.
+evidence, not circularity. Apart from the graph searches (bf_distances,
+simple_paths), only undirected networks are supported, which covers
+every fixture and every default generated instance.
 
 The exception is ReferencePlanner, the exact planner as it was written
 before belief states became bitmasks. It reuses the package's graph
@@ -34,9 +35,14 @@ OPEN = "open"
 BLOCKED = "blocked"
 
 
+def edge_ways(net: RoadNetwork, e: Edge) -> tuple[tuple[str, str], ...]:
+    """The (from, to) ways edge e can be travelled."""
+    return ((e.u, e.v),) if net.directed else ((e.u, e.v), (e.v, e.u))
+
+
 def bf_distances(net: RoadNetwork, passable_ids: set, source: str) -> dict:
-    """Single-source distances by Bellman-Ford over a subset of edges."""
-    assert not net.directed
+    """Single-source distances by Bellman-Ford over a subset of edges,
+    inf where unreachable."""
     dist = {n: math.inf for n in net.nodes}
     dist[source] = 0.0
     for _ in range(len(net.nodes)):
@@ -44,15 +50,31 @@ def bf_distances(net: RoadNetwork, passable_ids: set, source: str) -> dict:
         for e in net.edges:
             if e.id not in passable_ids:
                 continue
-            if dist[e.u] + e.cost < dist[e.v]:
-                dist[e.v] = dist[e.u] + e.cost
-                changed = True
-            if dist[e.v] + e.cost < dist[e.u]:
-                dist[e.u] = dist[e.v] + e.cost
-                changed = True
+            for a, b in edge_ways(net, e):
+                if dist[a] + e.cost < dist[b]:
+                    dist[b] = dist[a] + e.cost
+                    changed = True
         if not changed:
             break
     return dist
+
+
+def simple_paths(net: RoadNetwork, passable_ids: set, source: str) -> list:
+    """(cost, node sequence) of every simple path from source over a subset
+    of edges, one entry per choice among parallel edges."""
+    out = []
+
+    def extend(nodes: tuple, cost: float) -> None:
+        out.append((cost, nodes))
+        for e in net.edges:
+            if e.id not in passable_ids:
+                continue
+            for a, b in edge_ways(net, e):
+                if a == nodes[-1] and b not in nodes:
+                    extend(nodes + (b,), cost + e.cost)
+
+    extend((source,), 0.0)
+    return out
 
 
 def oracle_expected_time(
@@ -170,16 +192,17 @@ class ReferencePlanner:
     def _compute(self, current: str, assignment: dict) -> tuple:
         if current == self.sink:
             return 0.0, 0.0, None
-        optimistic = reachable_nodes(
-            self.net,
-            current,
-            lambda e: assignment.get(e.id) is not EdgeState.BLOCKED,
-        )
+        bit = self.net.edge_bit
+        blocked = open_ = 0
+        for edge_id, s in assignment.items():
+            if s is EdgeState.BLOCKED:
+                blocked |= 1 << bit[edge_id]
+            elif s is EdgeState.OPEN:
+                open_ |= 1 << bit[edge_id]
+        optimistic = reachable_nodes(self.net, current, ~blocked)
         if self.sink not in optimistic:
             return self.failure_cost, 1.0, None
-        open_dist = dijkstra_distances(
-            self.net, current, lambda e: assignment.get(e.id) is EdgeState.OPEN
-        )
+        open_dist = dijkstra_distances(self.net, current, open_)
         options = []
         sink_dist = open_dist.get(self.sink)
         if sink_dist is not None:

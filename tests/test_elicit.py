@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctproute.blockage import CovariateMatrix, read_probabilities_csv
+from ctproute import elicit
+from ctproute.blockage import CovariateMatrix, expit, read_probabilities_csv
 from ctproute.elicit import (
     BetaPrior,
     BetaSample,
@@ -367,6 +369,42 @@ class TestPushforward:
         sample = BetaSample(draws=np.array([[0.1]]), provenance="fit")
         with pytest.raises(DimensionMismatch):
             pushforward_probabilities(Z, sample)
+
+    @pytest.mark.parametrize("block", [1, 5, 64, elicit.PUSHFORWARD_BLOCK])
+    def test_blocks_give_the_bits_of_the_whole_table(self, monkeypatch, block):
+        # the unblocked formula: expit, quantiles and means over the whole
+        # roads x draws table at once; small blocks split the rows unevenly
+        monkeypatch.setattr(elicit, "PUSHFORWARD_BLOCK", block)
+        gen = np.random.default_rng(block)
+        shapes = [(1, 2, 30), (13, 3, 10), (7, 1, 1)]
+        shapes += [tuple(map(int, gen.integers(1, (40, 5, 60)))) for _ in range(8)]
+        for n, k, m in shapes:
+            Z = matrix(gen.normal(size=(n, k)) * 4)
+            draws = gen.normal(size=(m, k))
+            probs = expit(Z.values @ draws.T)
+            q05, q50, q95 = np.quantile(probs, (0.05, 0.5, 0.95), axis=1)
+            want = [
+                (float(np.mean(row)), float(a), float(b), float(c))
+                for row, a, b, c in zip(probs, q05, q50, q95)
+            ]
+            got = pushforward_probabilities(Z, BetaSample(draws, "fit"))
+            assert [(s.mean, s.q05, s.median, s.q95) for s in got] == want
+
+    def test_pushforward_holds_one_table_at_its_peak(self):
+        # only the product spans every road and draw; expit, the quantiles
+        # and the means see one block of rows at a time
+        gen = np.random.default_rng(0)
+        Z = matrix(gen.normal(size=(200, 3)))
+        draws = gen.normal(size=(2000, 3))
+        table = 200 * 2000 * 8
+        pushforward_probabilities(Z, BetaSample(draws[:2], "fit"))  # warm up numpy
+        tracemalloc.start()
+        try:
+            pushforward_probabilities(Z, BetaSample(draws, "fit"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -211,7 +212,7 @@ class TestShortestPaths:
 
     def test_dijkstra_respects_passability(self):
         net = make_network([("e1", "A", "B", 1.0), ("e2", "B", "C", 2.0)])
-        dist = dijkstra_distances(net, "A", passable=lambda e: e.id != "e2")
+        dist = dijkstra_distances(net, "A", mask=~(1 << net.edge_bit["e2"]))
         assert dist == {"A": 0.0, "B": 1.0}
 
     def test_shortest_path_breaks_cost_ties_lexicographically(self):
@@ -254,14 +255,14 @@ class TestShortestPaths:
             [("z", "A", "B", 1.0), ("a", "A", "B", 1.0), ("m", "A", "B", 0.5)]
         )
         assert cheapest_edge(net, "A", "B").id == "m"
-        without_m = cheapest_edge(net, "A", "B", passable=lambda e: e.id != "m")
+        without_m = cheapest_edge(net, "A", "B", mask=~(1 << net.edge_bit["m"]))
         assert without_m.id == "a"
-        assert cheapest_edge(net, "A", "B", passable=lambda e: False) is None
+        assert cheapest_edge(net, "A", "B", mask=0) is None
 
     def test_reachable_nodes_respects_passability(self):
         net = make_network([("e1", "A", "B", 1.0), ("e2", "B", "C", 1.0)])
         assert reachable_nodes(net, "A") == {"A", "B", "C"}
-        assert reachable_nodes(net, "A", lambda e: e.id != "e2") == {"A", "B"}
+        assert reachable_nodes(net, "A", ~(1 << net.edge_bit["e2"])) == {"A", "B"}
 
     def test_unknown_nodes_raise(self):
         net = make_network([("e", "A", "B", 1.0)])
@@ -307,3 +308,58 @@ def test_shortest_path_cost_matches_distance_map(seed):
         hops = zip(path.nodes, path.nodes[1:])
         hop_cost = sum(cheapest_edge(net, a, b).cost for a, b in hops)
         assert hop_cost == pytest.approx(path.cost, abs=1e-12)
+
+
+def _multigraph(seed: int) -> RoadNetwork:
+    """Five nodes, nine roads of integer cost, with parallel roads."""
+    gen = np.random.default_rng(seed)
+    nodes = ("a", "b", "c", "d", "e")
+    edges = []
+    for i in range(9):
+        u, v = gen.choice(5, size=2, replace=False)
+        if i % 3 == 2:  # a road beside the previous one
+            u, v = nodes.index(edges[-1].u), nodes.index(edges[-1].v)
+        edges.append(Edge(f"p{i}", nodes[u], nodes[v], float(gen.integers(1, 3))))
+    return RoadNetwork(nodes=nodes, edges=tuple(edges), directed=bool(seed % 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    graph=st.sampled_from(["grid", "directed_grid", "multigraph"]),
+)
+def test_mask_searches_agree_with_oracles(seed, graph):
+    # integer costs make every path sum exact, so the checks are ==
+    if graph == "multigraph":
+        net = _multigraph(seed)
+    else:
+        net, *_ = oracles.random_grid(
+            seed, rows=3, cols=3, uncertain=0, directed=graph == "directed_grid"
+        )
+    gen = np.random.default_rng(seed)
+    blocked = sum(1 << b for b in range(len(net.edges)) if gen.uniform() < 0.3)
+    picked = sum(1 << b for b in range(len(net.edges)) if gen.uniform() < 0.7)
+    for mask in (~blocked, picked, 0, -1):
+        ids = {e.id for b, e in enumerate(net.edges) if mask >> b & 1}
+        for source in net.nodes:
+            dist = dijkstra_distances(net, source, mask)
+            reference = oracles.bf_distances(net, ids, source)
+            assert dist == {n: d for n, d in reference.items() if d < math.inf}
+            assert reachable_nodes(net, source, mask) == set(dist)
+            paths = oracles.simple_paths(net, ids, source)
+            for target in net.nodes:
+                path = shortest_path(net, source, target, mask)
+                if target not in dist:
+                    assert path is None
+                    continue
+                assert path.cost == dist[target]
+                assert (path.cost, path.nodes) == min(
+                    p for p in paths if p[1][-1] == target
+                )
+                joining = sorted(
+                    (e.cost, e.id)
+                    for e in net.edges
+                    if e.id in ids and (source, target) in oracles.edge_ways(net, e)
+                )
+                edge = cheapest_edge(net, source, target, mask)
+                assert (edge and edge.id) == (joining[0][1] if joining else None)

@@ -155,9 +155,7 @@ class TestExactExpectedTime:
         )
         model = make_model(e1=0.0, e2=0.0, e3=1.0, e4=0.0)
         result = exact_expected_time(net, model, "S", "T")
-        open_dist = dijkstra_distances(
-            net, "S", lambda e: e.id != "e3"
-        )
+        open_dist = dijkstra_distances(net, "S", ~(1 << net.edge_bit["e3"]))
         assert result.value == open_dist["T"]  # exact equality
         assert result.failure_probability == 0.0
 
@@ -425,6 +423,13 @@ class TestPolicies:
                 "T",
                 ("S", "T"),
             )
+
+    @pytest.mark.parametrize("kind", ["optimal", "replan", "route"])
+    def test_every_policy_refuses_a_traveler_at_the_sink(self, kind):
+        net, model = tri_fixture()
+        policy = make_policy(kind, net, model, "T", route=("S", "T"))
+        with pytest.raises(ValidationError, match="traveler is already at the sink"):
+            policy.decide(fresh_knowledge(net, "T"))
 
     def test_make_policy_dispatch(self):
         net, model = tri_fixture()
@@ -696,7 +701,9 @@ def test_fixed_route_follows_the_route_until_a_hop_is_known_blocked(
     )
     gen = np.random.default_rng(seed)
     avoided = {e.id for e in net.edges if gen.uniform() < 0.3}
-    path = shortest_path(net, source, sink, lambda e: e.id not in avoided)
+    path = shortest_path(
+        net, source, sink, ~sum(1 << net.edge_bit[i] for i in avoided)
+    )
     if path is None:
         return
     route = path.nodes
