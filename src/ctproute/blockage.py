@@ -8,7 +8,10 @@ come from direct input or from a logistic model on edge covariates:
 A Realization fixes the true open or blocked state of every edge for one
 draw of the world. Sampling draws one uniform per edge in model order and
 only then applies overrides, so two runs that differ only in overrides
-share the randomness of every other edge.
+share the randomness of every other edge. The uniforms of replicate r are
+the first ones of its stream (rng.uniforms, drawn without building a
+generator), and edge l is blocked iff its uniform is below p_l, one
+float64 compare over the whole model.
 """
 
 from __future__ import annotations
@@ -209,15 +212,15 @@ def sample_realization(
     substream, see the rng module for the split rule.
     """
     overrides = checked_overrides(model, overrides)
-    edge_ids = list(model.probabilities)
-    gen = rng.substream(seed, rng.REALIZATIONS, stream)
-    uniforms = gen.random(len(edge_ids))
-    states: dict[str, EdgeState] = {}
-    for edge_id, u in zip(edge_ids, uniforms):
-        blocked = u < model.probabilities[edge_id]
-        states[edge_id] = EdgeState.BLOCKED if blocked else EdgeState.OPEN
-    for edge_id, s in overrides.items():
-        states[edge_id] = s
+    probs = model.probabilities
+    n = len(probs)
+    uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, n)
+    blocked = uniforms < np.fromiter(probs.values(), float, n)
+    states = {
+        edge_id: EdgeState.BLOCKED if b else EdgeState.OPEN
+        for edge_id, b in zip(probs, blocked.tolist())
+    }
+    states.update(overrides)
     return Realization(states=states)
 
 

@@ -10,6 +10,8 @@ graph searches take the set of passable edges as such a mask: edge b is
 passable iff mask & (1 << b), so -1 passes every edge and ~blocked every
 edge not in blocked. They walk the cached arcs table, which lists each
 node's outgoing edges as (edge bit, far node, cost) in outgoing order.
+incident_mask and outgoing_mask hold each node's touching and leaving
+edges as one mask.
 """
 
 from __future__ import annotations
@@ -123,6 +125,17 @@ class RoadNetwork:
             adj[e.u].append(e)
             adj[e.v].append(e)
         return {n: tuple(es) for n, es in adj.items()}
+
+    @cached_property
+    def incident_mask(self) -> dict[str, int]:
+        """The edges touching each node, as one mask."""
+        bit = self.edge_bit
+        return {n: sum(1 << bit[e.id] for e in es) for n, es in self.incident.items()}
+
+    @cached_property
+    def outgoing_mask(self) -> dict[str, int]:
+        """The edges leaving each node, as one mask."""
+        return {n: sum(b for b, _, _ in arcs) for n, arcs in self.arcs.items()}
 
     @cached_property
     def reverse(self) -> "RoadNetwork":

@@ -30,7 +30,10 @@ passable edges as such a mask, so a belief's known & ~blocked (known
 open) or ~blocked (not known blocked) goes to them as is. The knowledge
 holds observations only: the planner folds the edges of probability 0 or
 1 in when it plans, with observations winning, so policies that do not
-plan never act on a model certainty.
+plan never act on a model certainty. A walk reads its world's blocked
+edges into one mask when it starts; each arrival ORs the node's
+net.incident_mask into known, and blocked is known & that mask, what
+reveal() gives. A chosen edge is checked against net.outgoing_mask.
 
 The planner and the exact policy evaluator compile (network, model, sink)
 into one immutable instance: node i is net.nodes[i], each edge bit has its
@@ -217,7 +220,7 @@ def _compile(
         net=net,
         index={n: i for i, n in enumerate(net.nodes)},
         incident=incident,
-        incident_mask=tuple(sum(1 << b for b in bits) for bits in incident),
+        incident_mask=tuple(net.incident_mask[n] for n in net.nodes),
         outcomes=tuple(outcomes),
         uncertain=uncertain,
         known=known,
@@ -629,18 +632,18 @@ class ReplicateOutcome:
 def _checked_step(net: RoadNetwork, k: KnowledgeState, edge_id: str) -> Edge:
     """The edge a policy chose from k; it must leave k.current and be
     known open."""
-    edge = net.edge_by_id.get(edge_id)
-    if edge is None:
+    b = net.edge_bit.get(edge_id)
+    if b is None:
         raise UnknownEdge(f"policy chose unknown edge {edge_id!r}")
-    if edge not in net.outgoing[k.current]:
+    if not net.outgoing_mask[k.current] >> b & 1:
         raise ValidationError(
             f"policy chose edge {edge_id!r} not leaving {k.current!r}"
         )
-    if k.state(edge_id) is not EdgeState.OPEN:
+    if (k.blocked | ~k.known) >> b & 1:
         raise ValidationError(
             f"policy tried to traverse edge {edge_id!r} not known open"
         )
-    return edge
+    return net.edges[b]
 
 
 def walk_policy(
@@ -655,25 +658,53 @@ def walk_policy(
 
     Pure function of (world, policy): replicate r of a simulation can be
     reproduced in isolation by sampling world r and calling this.
+
+    The world's blocked edges are read into one mask, closed, up front.
+    Every known edge was revealed from this world, so an arrival ORs the
+    node's incident mask into known and the blocked mask is known & closed,
+    what reveal() gives. An edge the world lacks raises UnknownEdge when
+    an arrival first reveals it, as reveal() does.
     """
     net.require_node(source)
     net.require_node(sink)
-    k = reveal(fresh_knowledge(net, source), source, world)
+    bit = net.edge_bit
+    closed = seen = 0
+    for edge_id, state in world.states.items():
+        b = bit.get(edge_id)
+        if b is not None:
+            seen |= 1 << b
+            if state is EdgeState.BLOCKED:
+                closed |= 1 << b
+    unseen = ~seen
+    incident = net.incident_mask
+    current = source
+    known = incident[source]
     time = 0.0
     path = [source]
     max_steps = 4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16
     for _ in range(max_steps):
-        if k.current == sink:
+        if known & unseen:
+            _lacking_edge(net, world, known & unseen)
+        if current == sink:
             return ReplicateOutcome(time, False, tuple(path))
+        k = KnowledgeState(net, current, known, known & closed)
         edge_id = policy.decide(k)
         if edge_id is None:
             return ReplicateOutcome(time + failure_cost, True, tuple(path))
         edge = _checked_step(net, k, edge_id)
-        nxt = edge.other(k.current)
+        current = edge.other(current)
         time += edge.cost
-        k = reveal(k.moved_to(nxt), nxt, world)
-        path.append(nxt)
+        known |= incident[current]
+        path.append(current)
+    if known & unseen:
+        _lacking_edge(net, world, known & unseen)
     raise RuntimeError("policy failed to terminate; this is a bug")
+
+
+def _lacking_edge(net: RoadNetwork, world: Realization, lacking: int) -> None:
+    """Raise reveal()'s UnknownEdge for the lowest bit of lacking, the
+    first such edge in incident order."""
+    world.state(net.edges[(lacking & -lacking).bit_length() - 1].id)
 
 
 @dataclass(frozen=True)

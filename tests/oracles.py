@@ -11,7 +11,10 @@ every fixture and every default generated instance.
 The exception is ReferencePlanner, the exact planner as it was written
 before belief states became bitmasks. It reuses the package's graph
 searches and keeps the planner's arithmetic order, so the package must
-match it bit for bit, on directed networks too.
+match it bit for bit, on directed networks too. Likewise reference_walk
+walks a journey with one reveal() per arrival and checks each chosen
+edge against the Edge tuples of net.outgoing, and walk_policy must match
+it exactly.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ from ctproute.network import (
     dijkstra_distances,
     reachable_nodes,
 )
-from ctproute.traveler import KnowledgeState, walk_policy
+from ctproute.errors import UnknownEdge, ValidationError
+from ctproute.traveler import (
+    KnowledgeState,
+    ReplicateOutcome,
+    fresh_knowledge,
+    reveal,
+    walk_policy,
+)
 
 OPEN = "open"
 BLOCKED = "blocked"
@@ -239,6 +249,46 @@ class ReferencePlanner:
             total_v += weight * v
             total_f += weight * f
         return total_v, total_f
+
+
+def reference_walk(
+    net: RoadNetwork,
+    world: Realization,
+    policy,
+    source: str,
+    sink: str,
+    failure_cost: float,
+) -> ReplicateOutcome:
+    """One journey through world, revealing each arrival's edges with
+    reveal() and checking every chosen edge by Edge equality."""
+    net.require_node(source)
+    net.require_node(sink)
+    k = reveal(fresh_knowledge(net, source), source, world)
+    time = 0.0
+    path = [source]
+    max_steps = 4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16
+    for _ in range(max_steps):
+        if k.current == sink:
+            return ReplicateOutcome(time, False, tuple(path))
+        edge_id = policy.decide(k)
+        if edge_id is None:
+            return ReplicateOutcome(time + failure_cost, True, tuple(path))
+        edge = net.edge_by_id.get(edge_id)
+        if edge is None:
+            raise UnknownEdge(f"policy chose unknown edge {edge_id!r}")
+        if edge not in net.outgoing[k.current]:
+            raise ValidationError(
+                f"policy chose edge {edge_id!r} not leaving {k.current!r}"
+            )
+        if k.state(edge_id) is not EdgeState.OPEN:
+            raise ValidationError(
+                f"policy tried to traverse edge {edge_id!r} not known open"
+            )
+        nxt = edge.other(k.current)
+        time += edge.cost
+        k = reveal(k.moved_to(nxt), nxt, world)
+        path.append(nxt)
+    raise RuntimeError("policy failed to terminate; this is a bug")
 
 
 def enumerate_worlds(model: BlockageModel, overrides: dict | None = None):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctproute import rng
 from ctproute.blockage import (
     BetaVector,
     BlockageModel,
@@ -204,6 +205,32 @@ class TestSampling:
             assert forced.state("e1") is EdgeState.BLOCKED
             for other in ("e2", "e3", "e4"):
                 assert forced.state(other) is free.state(other)
+
+    def test_world_is_the_substream_uniforms_below_each_probability(self):
+        # the sampling rule written out per edge; a probability equal to
+        # its edge's uniform leaves the edge open, and int 0 and 1 are
+        # probabilities too
+        gen = np.random.default_rng(3)
+        for stream in range(40):
+            edge_ids = [f"e{i}" for i in range(int(gen.integers(1, 12)))]
+            probs = {e: float(gen.choice((0.0, 0.2, 0.5, 0.9, 1.0))) for e in edge_ids}
+            probs[edge_ids[0]] = int(gen.integers(2))
+            uniforms = rng.substream(99, rng.REALIZATIONS, stream).random(len(probs))
+            probs[edge_ids[-1]] = float(uniforms[-1])
+            overrides = {
+                e: (EdgeState.OPEN, EdgeState.BLOCKED)[int(gen.integers(2))]
+                for e in edge_ids
+                if gen.uniform() < 0.3
+            }
+            want = {}
+            for e, u in zip(probs, uniforms):
+                want[e] = EdgeState.BLOCKED if u < probs[e] else EdgeState.OPEN
+            want.update(overrides)
+            model = BlockageModel(probabilities=probs)
+            world = sample_realization(model, 99, overrides, stream=stream)
+            assert list(world.states.items()) == list(want.items())
+            if edge_ids[-1] not in overrides:
+                assert world.state(edge_ids[-1]) is EdgeState.OPEN
 
     def test_override_validation(self):
         with pytest.raises(UnknownEdge):

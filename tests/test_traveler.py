@@ -24,6 +24,7 @@ from ctproute.traveler import (
     OptimalPolicy,
     Policy,
     ReplanGreedyPolicy,
+    ReplicateOutcome,
     _Planner,
     default_failure_cost,
     evaluate_policy_exact,
@@ -320,6 +321,25 @@ class TestWalkPolicy:
         net, _ = tri_fixture()
         with pytest.raises(ValidationError, match="not leaving"):
             walk_policy(net, tri_world(), _ConstantPolicy("b"), "S", "T", 44.0)
+
+    @pytest.mark.parametrize("twin", [False, True])
+    def test_rejects_edge_touching_but_not_leaving_current_node(self, twin):
+        # "back" runs T to S, so at S it touches the node without leaving
+        # it; with twin, a parallel "fwd" does leave S toward T
+        specs = [("back", "T", "S", 1.0)]
+        if twin:
+            specs.append(("fwd", "S", "T", 1.0))
+        net = make_network(specs, directed=True)
+        world = oracles.Realization(states={e.id: EdgeState.OPEN for e in net.edges})
+        for walk in (walk_policy, oracles.reference_walk):
+            with pytest.raises(ValidationError, match="'back' not leaving 'S'"):
+                walk(net, world, _ConstantPolicy("back"), "S", "T", 4.0)
+        model = make_model(**{e.id: 0.0 for e in net.edges})
+        with pytest.raises(ValidationError, match="'back' not leaving 'S'"):
+            evaluate_policy_exact(net, model, _ConstantPolicy("back"), "S", "T", 4.0)
+        if twin:
+            outcome = walk_policy(net, world, _ConstantPolicy("fwd"), "S", "T", 4.0)
+            assert outcome == ReplicateOutcome(1.0, False, ("S", "T"))
 
     def test_rejects_traversal_of_blocked_edge(self):
         net, _ = tri_fixture()
@@ -794,3 +814,83 @@ def test_planner_prunes_targets_that_cannot_win():
     want = reference.value(source, reference.base_assignment())
     assert got == want
     assert 2 * len(planner._memo) <= len(reference._memo)
+
+
+WALK_VARIANTS = {
+    "default": oracles.random_instance,
+    "directed": partial(oracles.random_instance, directed=True),
+    "parallel": partial(oracles.random_instance, parallel=True),
+    "certain_blocked": partial(oracles.random_instance, certain_blocked=True),
+    "grid": partial(oracles.random_grid, rows=3, cols=4, uncertain=6),
+}
+
+
+def _walk_policies(net, model, source, sink, fc):
+    """A fresh policy of every kind; the fixed route is the all-open
+    shortest path, left out where there is none."""
+    kinds = {
+        "optimal": lambda: OptimalPolicy(net, model, sink, fc),
+        "replan": lambda: ReplanGreedyPolicy(net, sink),
+    }
+    path = shortest_path(net, source, sink)
+    if path is not None:
+        kinds["route"] = lambda: FixedRoutePolicy(net, sink, path.nodes)
+    return kinds
+
+
+@pytest.mark.parametrize("variant", WALK_VARIANTS)
+def test_walk_matches_the_reveal_walk_exactly(variant):
+    kinds_seen = set()
+    for seed in range(25):
+        net, model, source, sink = WALK_VARIANTS[variant](seed)
+        fc = default_failure_cost(net)
+        gen = np.random.default_rng(seed)
+        forced = {
+            e.id: (EdgeState.OPEN, EdgeState.BLOCKED)[int(gen.integers(2))]
+            for e in net.edges
+            if gen.uniform() < 0.3
+        }
+        worlds = [
+            sample_realization(model, seed, overrides, stream=r)
+            for overrides in (None, forced)
+            for r in range(4)
+        ]
+        for kind, make in _walk_policies(net, model, source, sink, fc).items():
+            kinds_seen.add(kind)
+            fast, reference = make(), make()
+            for world in worlds:
+                got = walk_policy(net, world, fast, source, sink, fc)
+                want = oracles.reference_walk(
+                    net, world, reference, source, sink, fc
+                )
+                assert (got.travel_time, got.failed, got.path) == (
+                    want.travel_time,
+                    want.failed,
+                    want.path,
+                )
+    assert kinds_seen == {"optimal", "replan", "route"}
+
+
+def test_world_missing_an_edge_raises_only_when_a_reveal_reaches_it():
+    # S-A-T with a spur A-X; X is never visited but the spur is revealed
+    # at A, and the road Y-Z lies where no reveal reaches
+    net = make_network(
+        [
+            ("sa", "S", "A", 1.0),
+            ("at", "A", "T", 1.0),
+            ("ax", "A", "X", 1.0),
+            ("yz", "Y", "Z", 1.0),
+        ]
+    )
+    everything = {e.id: EdgeState.OPEN for e in net.edges}
+    policy = ReplanGreedyPolicy(net, "T")
+    for walk in (walk_policy, oracles.reference_walk):
+        without_yz = {e: s for e, s in everything.items() if e != "yz"}
+        outcome = walk(net, oracles.Realization(without_yz), policy, "S", "T", 9.0)
+        assert outcome == ReplicateOutcome(2.0, False, ("S", "A", "T"))
+        # the first lacking edge in the arrival node's incident order
+        cases = ((("sa",), "sa"), (("ax",), "ax"), (("at",), "at"), (("ax", "at"), "at"))
+        for lacking, named in cases:
+            world = {e: s for e, s in everything.items() if e not in lacking}
+            with pytest.raises(UnknownEdge, match=f"realization has no edge '{named}'"):
+                walk(net, oracles.Realization(world), policy, "S", "T", 9.0)
