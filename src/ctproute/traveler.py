@@ -9,62 +9,23 @@ is added on top of the travel already spent. That convention is used
 consistently by the exact recursion, the exact policy evaluator, and the
 Monte Carlo simulator, so their expectations are directly comparable.
 
-The exact value is computed by expectimax over belief states (current
-node, decided edge assignment). From a state the traveler either travels
-to the sink along the cheapest known open path, or travels to a frontier
-node (one with at least one undecided incident edge) and takes the
-expectation over the joint Bernoulli reveal of that node's undecided
-edges. This collapsed move set is value equivalent to stepping one edge
-at a time, because optimal play only changes direction where new
-information arrives. Edges with probability exactly 0 or 1 are decided
-up front; the initial reveal at the start node is the zero cost frontier
-move onto the start itself.
+A belief is (node name, known mask, blocked mask): edge b is bit b of a
+mask (net.edge_bit), known holds the edges observed so far and blocked
+those of them observed blocked. The planner, the policies, the walk and
+the exact evaluator all key on it and read graph structure from the
+network's cached tables. The knowledge holds observations only; the
+planner folds the edges of probability 0 or 1 in when it plans, with
+observations winning, so policies that do not plan never act on a model
+certainty.
 
-The planner, the policies, the walk and the exact policy evaluator share
-one belief representation. Edge b is bit b of a mask (net.edge_bit), and
-a KnowledgeState is the current node plus two ints: the edges observed so
-far and, among them, the edges observed blocked. A reveal ORs bits into
-both masks, and the planner's memo and each policy's one memo are keyed
-on (node, known, blocked). The network module's searches take their
-passable edges as such a mask, so a belief's known & ~blocked (known
-open) or ~blocked (not known blocked) goes to them as is. The knowledge
-holds observations only: the planner folds the edges of probability 0 or
-1 in when it plans, with observations winning, so policies that do not
-plan never act on a model certainty. A walk reads its world's blocked
-edges into one mask when it starts; each arrival ORs the node's
-net.incident_mask into known, and blocked is known & that mask, what
-reveal() gives. A chosen edge is checked against net.outgoing_mask.
-
-The planner and the exact policy evaluator compile (network, model, sink)
-into one immutable instance: node i is net.nodes[i], each edge bit has its
-table of reveal outcomes, and the edges of probability 0 or 1 (for the
-evaluator, also the overridden edges) are already set in the initial known
-and blocked masks. Both take every expectation through one enumeration of
-a node's joint reveal, _reveal_expectation, and refuse to start from a
-belief with more than UNCERTAIN_EDGE_CAP undecided uncertain edges through
-one check, _check_cap. It counts only the edges incident to nodes
-reachable from the start over edges not known blocked, since no reveal
-can decide any other edge.
-
-The planner prunes by branch and bound on the free-space distance h, the
-distance to the sink with every edge not known blocked taken as open.
-Every outcome of a reveal at frontier node v costs at least
-min(h(v), failure cost) from v on, so dist(node, v) + min(h(v), failure
-cost) bounds the option's value from below. Options are evaluated in
-increasing (bound, node id) order, after the sink's exact value, and the
-rest are skipped once a bound exceeds the best value so far by more than
-PRUNE_MARGIN times its size; the margin covers reveal weights that sum to
-1 - eps. A skipped option is strictly worse than the best, so the choice
-and its (value, name) tie-break are those of the full recursion, and
-every evaluated subtree is exact.
-
-Many beliefs share the inputs of their graph searches, so the planner
-keeps four caches: whether the sink is reachable with undecided edges
-assumed open per (node, blocked mask), the distances over known open
-edges per (node, known & ~blocked), h per blocked mask (one search from
-the sink over net.reverse, computed only for a belief with at
-least two options), and the memo of values per belief. A cache miss runs
-the network module's reachable_nodes or dijkstra_distances on the mask.
+From a belief the planner either travels to the sink over known open
+edges or travels to a frontier node and takes the expectation over the
+joint reveal of its undecided edges. That collapsed move set is value
+equivalent to stepping one edge at a time, because optimal play only
+changes direction where new information arrives. Its branch and bound
+skips only options strictly worse than the best, so the choice and its
+(value, name) tie-break are those of the full recursion; the README's
+"Exact planner" describes the bound and the search caches.
 """
 
 from __future__ import annotations
@@ -171,23 +132,19 @@ class ExpectedTime:
 
 @dataclass(frozen=True)
 class _Instance:
-    """A (network, model, sink) compiled for exact expectations.
+    """What the model and the sink add to a network for exact expectations.
 
-    Node i is net.nodes[i] and edge bit b is net.edges[b]. Edges with
-    probability exactly 0 or 1, and overridden edges, are folded into the
-    initial `known` and `blocked` masks.
+    Edges with probability exactly 0 or 1, and overridden edges, are
+    folded into the initial `known` and `blocked` masks.
     """
 
     net: RoadNetwork
-    index: Mapping[str, int]  # node name -> node id
-    incident: tuple[tuple[int, ...], ...]  # edge bits per node, net.incident order
-    incident_mask: tuple[int, ...]  # the same bits per node as one mask
     # per edge bit, (blocked bits, weight) of each revealed state, open first
     outcomes: tuple[tuple[tuple[int, float], ...], ...]
     uncertain: int  # edges with 0 < p < 1
     known: int
     blocked: int
-    sink: int
+    sink: str
 
 
 def _compile(
@@ -200,7 +157,6 @@ def _compile(
     model.validate_for(net)
     net.require_node(sink)
     overrides = checked_overrides(model, overrides)
-    bit = net.edge_bit
     outcomes = []
     uncertain = known = blocked = 0
     for b, e in enumerate(net.edges):
@@ -215,21 +171,17 @@ def _compile(
         if p == 1.0:
             blocked |= 1 << b
         outcomes.append(((blocked & 1 << b, 1.0),))
-    incident = tuple(tuple(bit[e.id] for e in net.incident[n]) for n in net.nodes)
     return _Instance(
         net=net,
-        index={n: i for i, n in enumerate(net.nodes)},
-        incident=incident,
-        incident_mask=tuple(net.incident_mask[n] for n in net.nodes),
         outcomes=tuple(outcomes),
         uncertain=uncertain,
         known=known,
         blocked=blocked,
-        sink=net.nodes.index(sink),
+        sink=sink,
     )
 
 
-def _check_cap(inst: _Instance, node: int, known: int, blocked: int) -> None:
+def _check_cap(inst: _Instance, node: str, known: int, blocked: int) -> None:
     """Refuse a belief whose reachable undecided uncertain edges exceed
     the cap.
 
@@ -240,11 +192,10 @@ def _check_cap(inst: _Instance, node: int, known: int, blocked: int) -> None:
     undecided = inst.uncertain & ~known
     if undecided.bit_count() <= UNCERTAIN_EDGE_CAP:
         return  # the reachable count is at most this one
-    net, names = inst.net, inst.net.nodes
-    reach = reachable_nodes(net, names[node], ~blocked)
+    incident = inst.net.incident_mask
     touched = 0
-    for n in reach:
-        touched |= inst.incident_mask[inst.index[n]]
+    for n in reachable_nodes(inst.net, node, ~blocked):
+        touched |= incident[n]
     count = (undecided & touched).bit_count()
     if count > UNCERTAIN_EDGE_CAP:
         raise TooManyUncertainEdges(
@@ -254,17 +205,22 @@ def _check_cap(inst: _Instance, node: int, known: int, blocked: int) -> None:
 
 def _reveal_expectation(
     inst: _Instance,
-    node: int,
+    node: str,
     known: int,
     blocked: int,
-    value: Callable[[int, int, int], Sequence],
+    value: Callable[[str, int, int], Sequence],
 ) -> tuple[float, float]:
     """Expected (value, failure) over the joint reveal of node's undecided
     edges, where value(node, known, blocked) gives both, first and second,
-    for each child belief. Edges go in incident order, the last varying
-    fastest, each open before blocked."""
-    undecided = [inst.outcomes[b] for b in inst.incident[node] if not known >> b & 1]
-    known |= inst.incident_mask[node]
+    for each child belief. Edges go in bit order, which is net.incident
+    order, the last varying fastest, each open before blocked."""
+    rest = inst.net.incident_mask[node] & ~known
+    known |= rest
+    undecided = []
+    while rest:
+        low = rest & -rest
+        undecided.append(inst.outcomes[low.bit_length() - 1])
+        rest ^= low
     total_v = 0.0
     total_f = 0.0
     for combo in itertools.product(*undecided):
@@ -280,23 +236,18 @@ def _reveal_expectation(
 
 
 class _Planner:
-    """Memoized expectimax over beliefs (node id, known mask, blocked mask).
-
-    Many beliefs share the inputs of their graph searches, so sink
-    reachability is cached per (node, blocked mask), open-edge distances
-    per (node, open mask) and free-space distances to the sink per blocked
-    mask; misses call the network module.
-    """
+    """Memoized expectimax over beliefs (node, known mask, blocked mask);
+    each graph search is cached on its inputs."""
 
     def __init__(
         self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
     ):
         self.inst = _compile(net, model, sink)
         self.failure_cost = float(failure_cost)
-        self._memo: dict[tuple[int, int, int], tuple[float, float, Optional[str]]] = {}
-        self._reach: dict[tuple[int, int], bool] = {}
-        self._dist: dict[tuple[int, int], tuple] = {}
-        self._free: dict[int, tuple[float, ...]] = {}
+        self._memo: dict[tuple[str, int, int], tuple[float, float, Optional[str]]] = {}
+        self._reach: dict[tuple[str, int], bool] = {}
+        self._dist: dict[tuple[str, int], dict[str, float]] = {}
+        self._free: dict[int, dict[str, float]] = {}
 
     def belief(self, k: KnowledgeState) -> tuple[int, int]:
         """(known, blocked) of k's observations with the model's
@@ -308,12 +259,11 @@ class _Planner:
         self, current: str, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
         """Cap checked entry point: value() over the remaining unknowns."""
-        node = self.inst.index[current]
-        _check_cap(self.inst, node, known, blocked)
-        return self.value(node, known, blocked)
+        _check_cap(self.inst, current, known, blocked)
+        return self.value(current, known, blocked)
 
     def value(
-        self, node: int, known: int, blocked: int
+        self, node: str, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
         """Expected remaining time, failure probability, best target.
 
@@ -326,26 +276,27 @@ class _Planner:
         return hit
 
     def _compute(
-        self, node: int, known: int, blocked: int
+        self, node: str, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
         inst = self.inst
-        if node == inst.sink:
+        sink = inst.sink
+        if node == sink:
             return 0.0, 0.0, None
         if not self._sink_reachable(node, blocked):
             # certain failure no matter which states the unknowns take
             return self.failure_cost, 1.0, None
 
-        names = inst.net.nodes
-        sink_dist, open_dist = self._open_distances(node, known & ~blocked)
+        open_dist = self._open_distances(node, known & ~blocked)
         options: list[tuple[float, str, float]] = []
-        if sink_dist is not None:
-            options.append((sink_dist, names[inst.sink], 0.0))
-        # (lower bound, node id, distance) per frontier target; a lone
+        if sink in open_dist:
+            options.append((open_dist[sink], sink, 0.0))
+        # (lower bound, node, distance) per frontier target; a lone
         # option is never pruned, so it keeps its distance as the bound
+        incident = inst.net.incident_mask
         frontier = [
             (dist, other, dist)
-            for other, dist in open_dist
-            if inst.incident_mask[other] & ~known
+            for other, dist in open_dist.items()
+            if other != sink and incident[other] & ~known
         ]
         if len(options) + len(frontier) > 1:
             # branch and bound: from a frontier target every outcome costs
@@ -354,7 +305,7 @@ class _Planner:
             # cannot win and its reveal is never enumerated
             free, fc = self._free_distances(blocked), self.failure_cost
             frontier = sorted(
-                (dist + min(free[other], fc), other, dist)
+                (dist + min(free.get(other, math.inf), fc), other, dist)
                 for _, other, dist in frontier
             )
         best = options[0][0] if options else math.inf
@@ -362,7 +313,7 @@ class _Planner:
             if bound - best > PRUNE_MARGIN * abs(best):
                 break
             ev, ef = _reveal_expectation(inst, other, known, blocked, self.value)
-            options.append((dist + ev, names[other], ef))
+            options.append((dist + ev, other, ef))
             best = min(best, dist + ev)
 
         if not options:
@@ -371,42 +322,30 @@ class _Planner:
         value, target, fail = min(options)
         return value, fail, target
 
-    def _sink_reachable(self, node: int, blocked: int) -> bool:
+    def _sink_reachable(self, node: str, blocked: int) -> bool:
         """Whether the sink is reachable with every unblocked edge open."""
         key = (node, blocked)
         hit = self._reach.get(key)
         if hit is None:
-            inst = self.inst
-            names = inst.net.nodes
-            reach = reachable_nodes(inst.net, names[node], ~blocked)
-            hit = self._reach[key] = names[inst.sink] in reach
+            reach = reachable_nodes(self.inst.net, node, ~blocked)
+            hit = self._reach[key] = self.inst.sink in reach
         return hit
 
-    def _free_distances(self, blocked: int) -> tuple[float, ...]:
-        """Per node id, the distance to the sink over every edge not known
-        blocked (inf where the sink is unreachable)."""
+    def _free_distances(self, blocked: int) -> dict[str, float]:
+        """Distance to the sink over every edge not known blocked, for each
+        node that can reach it."""
         hit = self._free.get(blocked)
         if hit is None:
-            inst = self.inst
-            names = inst.net.nodes
-            dist = dijkstra_distances(inst.net.reverse, names[inst.sink], ~blocked)
-            hit = self._free[blocked] = tuple(dist.get(n, math.inf) for n in names)
+            net, sink = self.inst.net, self.inst.sink
+            hit = self._free[blocked] = dijkstra_distances(net.reverse, sink, ~blocked)
         return hit
 
-    def _open_distances(
-        self, node: int, open_mask: int
-    ) -> tuple[Optional[float], tuple[tuple[int, float], ...]]:
-        """Distance to the sink (None if unreachable) and (node id,
-        distance) of every other reachable node, in the order the search
-        first reached them."""
+    def _open_distances(self, node: str, open_mask: int) -> dict[str, float]:
+        """Distance from node to each node reachable over open_mask."""
         key = (node, open_mask)
         hit = self._dist.get(key)
         if hit is None:
-            inst = self.inst
-            index, sink = inst.index, inst.net.nodes[inst.sink]
-            dist = dijkstra_distances(inst.net, inst.net.nodes[node], open_mask)
-            others = tuple((index[n], d) for n, d in dist.items() if n != sink)
-            hit = self._dist[key] = (dist.get(sink), others)
+            hit = self._dist[key] = dijkstra_distances(self.inst.net, node, open_mask)
         return hit
 
 
@@ -822,11 +761,11 @@ def evaluate_policy_exact(
     if failure_cost is None:
         failure_cost = default_failure_cost(net)
     inst = _compile(net, model, sink, overrides)
-    _check_cap(inst, inst.index[source], 0, inst.blocked)
-    memo: dict[tuple[int, int, int], tuple[float, float]] = {}
+    _check_cap(inst, source, 0, inst.blocked)
+    memo: dict[tuple[str, int, int], tuple[float, float]] = {}
     active: set = set()
 
-    def visit(node: int, known: int, blocked: int) -> tuple[float, float]:
+    def visit(node: str, known: int, blocked: int) -> tuple[float, float]:
         if node == inst.sink:
             return 0.0, 0.0
         key = (node, known, blocked)
@@ -839,13 +778,13 @@ def evaluate_policy_exact(
             )
         active.add(key)
         try:
-            k = KnowledgeState(net, net.nodes[node], known, blocked)
+            k = KnowledgeState(net, node, known, blocked)
             edge_id = policy.decide(k)
             if edge_id is None:
                 result = (failure_cost, 1.0)
             else:
                 edge = _checked_step(net, k, edge_id)
-                nxt = inst.index[edge.other(k.current)]
+                nxt = edge.other(node)
                 v, f = _reveal_expectation(inst, nxt, known, blocked, visit)
                 result = (edge.cost + v, f)
         finally:
@@ -853,7 +792,7 @@ def evaluate_policy_exact(
         memo[key] = result
         return result
 
-    value, fail = _reveal_expectation(inst, inst.index[source], 0, 0, visit)
+    value, fail = _reveal_expectation(inst, source, 0, 0, visit)
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
     )

@@ -336,6 +336,12 @@ def test_mask_searches_agree_with_oracles(seed, graph):
         net, *_ = oracles.random_grid(
             seed, rows=3, cols=3, uncertain=0, directed=graph == "directed_grid"
         )
+    for n in net.nodes:
+        # reveal enumeration takes a node's edges lowest bit first and
+        # relies on that being net.incident order
+        bits = [net.edge_bit[e.id] for e in net.incident[n]]
+        assert all(a < b for a, b in zip(bits, bits[1:]))
+        assert sum(1 << b for b in bits) == net.incident_mask[n]
     gen = np.random.default_rng(seed)
     blocked = sum(1 << b for b in range(len(net.edges)) if gen.uniform() < 0.3)
     picked = sum(1 << b for b in range(len(net.edges)) if gen.uniform() < 0.7)

@@ -15,12 +15,14 @@ from ctproute.errors import (
     BadRoute,
     TooManyUncertainEdges,
     UnknownEdge,
+    UnknownNode,
     ValidationError,
 )
 from ctproute.fixtures import tb_fixture, tri_fixture
 from ctproute.network import dijkstra_distances, shortest_path
 from ctproute.traveler import (
     FixedRoutePolicy,
+    KnowledgeState,
     OptimalPolicy,
     Policy,
     ReplanGreedyPolicy,
@@ -450,6 +452,16 @@ class TestPolicies:
         policy = make_policy(kind, net, model, "T", route=("S", "T"))
         with pytest.raises(ValidationError, match="traveler is already at the sink"):
             policy.decide(fresh_knowledge(net, "T"))
+
+    @pytest.mark.parametrize("kind", ["optimal", "replan", "route", "optimal_action"])
+    def test_every_decision_refuses_a_traveler_off_the_network(self, kind):
+        net, model = tri_fixture()
+        k = KnowledgeState(net, "Z", 0, 0)
+        with pytest.raises(UnknownNode, match="'Z'"):
+            if kind == "optimal_action":
+                optimal_action(net, model, k, "T")
+            else:
+                make_policy(kind, net, model, "T", route=("S", "T")).decide(k)
 
     def test_make_policy_dispatch(self):
         net, model = tri_fixture()
