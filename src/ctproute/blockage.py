@@ -221,7 +221,11 @@ def sample_realization(
         for edge_id, b in zip(probs, blocked.tolist())
     }
     states.update(overrides)
-    return Realization(states=states)
+    # every state is one of the two members or a checked override, so the
+    # world skips Realization's copy and re-check
+    world = object.__new__(Realization)
+    object.__setattr__(world, "states", states)
+    return world
 
 
 def read_probabilities_csv(text: str) -> dict[str, float]:

@@ -9,7 +9,7 @@ own output. All outputs are byte deterministic functions of the inputs,
 flags, and seed; numbers are rendered with 12 significant digits.
 
 Exit status: 0 success, 2 validation or parse failure (message on
-stderr), 3 exact method refused because too many edges are uncertain.
+stderr), 3 exact planner refused because too many edges are uncertain.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ CAP_HINTS = {
     "route": "--method mc",
     "centrality": "--method mc",
     "simulate": "--policy replan",
+}
+# advice, per subcommand, when the refused run already used --method mc:
+# Monte Carlo still plans the optimal policy at every decision
+MC_CAP_HINTS = {
+    "route": "use simulate --policy replan",
+    "centrality": "no centrality method runs past the cap, since centrality "
+    "always plans the optimal policy",
 }
 
 
@@ -425,9 +432,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _HANDLERS[args.subcommand](args)
     except TooManyUncertainEdges as exc:
-        print(
-            f"error: {exc} (use {CAP_HINTS[args.subcommand]})", file=sys.stderr
-        )
+        hint = f"use {CAP_HINTS[args.subcommand]}"
+        if getattr(args, "method", None) == "mc":
+            hint = MC_CAP_HINTS[args.subcommand]
+        print(f"error: {exc} ({hint})", file=sys.stderr)
         return 3
     except CtprouteError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,8 +24,10 @@ joint reveal of its undecided edges. That collapsed move set is value
 equivalent to stepping one edge at a time, because optimal play only
 changes direction where new information arrives. Its branch and bound
 skips only options strictly worse than the best, so the choice and its
-(value, name) tie-break are those of the full recursion; the README's
-"Exact planner" describes the bound and the search caches.
+(value, name) tie-break are those of the full recursion; it also stops a
+reveal's enumeration once its partial sum proves the target loses
+(Star1). The README's "Exact planner" describes the bounds and the
+search caches.
 """
 
 from __future__ import annotations
@@ -209,11 +211,17 @@ def _reveal_expectation(
     known: int,
     blocked: int,
     value: Callable[[str, int, int], Sequence],
-) -> tuple[float, float]:
+    cutoff: Optional[tuple[float, float, float]] = None,
+) -> Optional[tuple[float, float]]:
     """Expected (value, failure) over the joint reveal of node's undecided
     edges, where value(node, known, blocked) gives both, first and second,
     for each child belief. Edges go in bit order, which is net.incident
-    order, the last varying fastest, each open before blocked."""
+    order, the last varying fastest, each open before blocked.
+
+    cutoff=(offset, floor, best), with floor at most every child's value,
+    stops the enumeration and returns None once offset plus the lower
+    bound on the expectation exceeds best by more than the prune margin.
+    """
     rest = inst.net.incident_mask[node] & ~known
     known |= rest
     undecided = []
@@ -221,8 +229,12 @@ def _reveal_expectation(
         low = rest & -rest
         undecided.append(inst.outcomes[low.bit_length() - 1])
         rest ^= low
+    if cutoff is not None:
+        offset, floor, best = cutoff
+        slack = PRUNE_MARGIN * abs(best)
     total_v = 0.0
     total_f = 0.0
+    seen = 0.0
     for combo in itertools.product(*undecided):
         weight = 1.0
         child_blocked = blocked
@@ -232,6 +244,11 @@ def _reveal_expectation(
         child = value(node, known, child_blocked)
         total_v += weight * child[0]
         total_f += weight * child[1]
+        if cutoff is not None:
+            # the unseen weight costs at least floor per unit
+            seen += weight
+            if offset + total_v + (1.0 - seen) * floor - best > slack:
+                return None
     return total_v, total_f
 
 
@@ -290,29 +307,36 @@ class _Planner:
         options: list[tuple[float, str, float]] = []
         if sink in open_dist:
             options.append((open_dist[sink], sink, 0.0))
-        # (lower bound, node, distance) per frontier target; a lone
-        # option is never pruned, so it keeps its distance as the bound
+        # (lower bound, node, distance, floor) per frontier target; a lone
+        # option is never pruned or cut, so it keeps its distance as the
+        # bound and no floor
         incident = inst.net.incident_mask
         frontier = [
-            (dist, other, dist)
+            (dist, other, dist, 0.0)
             for other, dist in open_dist.items()
             if other != sink and incident[other] & ~known
         ]
         if len(options) + len(frontier) > 1:
             # branch and bound: from a frontier target every outcome costs
-            # at least its free-space distance to the sink or the failure
-            # cost, so a target whose bound exceeds the best value found
-            # cannot win and its reveal is never enumerated
+            # at least floor, its free-space distance to the sink or the
+            # failure cost, so a target whose bound exceeds the best value
+            # found cannot win and its reveal is never enumerated, and a
+            # reveal stops once its partial sum shows the same (Star1)
             free, fc = self._free_distances(blocked), self.failure_cost
-            frontier = sorted(
-                (dist + min(free.get(other, math.inf), fc), other, dist)
-                for _, other, dist in frontier
-            )
+            ranked = []
+            for _, other, dist, _ in frontier:
+                floor = min(free.get(other, math.inf), fc)
+                ranked.append((dist + floor, other, dist, floor))
+            frontier = sorted(ranked)
         best = options[0][0] if options else math.inf
-        for bound, other, dist in frontier:
+        for bound, other, dist, floor in frontier:
             if bound - best > PRUNE_MARGIN * abs(best):
                 break
-            ev, ef = _reveal_expectation(inst, other, known, blocked, self.value)
+            cutoff = (dist, floor, best) if best < math.inf else None
+            got = _reveal_expectation(inst, other, known, blocked, self.value, cutoff)
+            if got is None:
+                continue  # cannot beat best
+            ev, ef = got
             options.append((dist + ev, other, ef))
             best = min(best, dist + ev)
 

@@ -232,6 +232,17 @@ class TestSampling:
             if edge_ids[-1] not in overrides:
                 assert world.state(edge_ids[-1]) is EdgeState.OPEN
 
+    @pytest.mark.parametrize(
+        "overrides", [None, {"e2": EdgeState.BLOCKED, "e4": EdgeState.OPEN}]
+    )
+    def test_sampled_world_equals_a_user_built_one(self, overrides):
+        for stream in range(20):
+            world = sample_realization(self.MODEL, 5, overrides, stream=stream)
+            built = Realization(states=world.states)
+            assert type(world) is Realization
+            assert world == built
+            assert list(world.states.items()) == list(built.states.items())
+
     def test_override_validation(self):
         with pytest.raises(UnknownEdge):
             sample_realization(self.MODEL, 0, overrides={"ghost": EdgeState.OPEN})

@@ -256,6 +256,35 @@ class TestRoute:
         assert rc == 3 and out == ""
         assert err.rstrip().endswith(f"(use {CAP_HINTS[subcommand]})")
 
+    @pytest.mark.parametrize("subcommand", ["route", "centrality"])
+    def test_mc_cap_refusal_does_not_repeat_its_own_flag(
+        self, capsys, tmp_path, subcommand
+    ):
+        graph = tmp_path / "g.json"
+        graph.write_text(DEEP_DOC, encoding="utf-8")
+        graph_flags = ["--graph", str(graph), "--source", "S", "--sink", "T"]
+        rc, out, err = run(
+            capsys,
+            [
+                subcommand, *graph_flags, "--method", "mc", "--reps", "10",
+                "--output", str(tmp_path / "out"),
+            ],
+        )
+        assert rc == 3 and out == ""
+        assert "--method mc" not in err
+        if subcommand == "centrality":
+            assert "no centrality method runs past the cap" in err
+            return
+        # the hinted command runs on the same graph
+        hint = err.rstrip().rsplit("(use ", 1)[1].rstrip(")").split()
+        assert hint[0] == "simulate"
+        rc, out, err = run(
+            capsys,
+            [*hint, *graph_flags, "--reps", "50", "--output", str(tmp_path / "sim")],
+        )
+        assert rc == 0 and err == ""
+        assert json.loads(out)["summary"]["replications"] == 50
+
     @pytest.mark.parametrize("subcommand", sorted(CAP_HINTS))
     def test_every_cap_hint_flag_is_accepted(self, subcommand):
         flag, value = CAP_HINTS[subcommand].split()

@@ -828,6 +828,64 @@ def test_planner_prunes_targets_that_cannot_win():
     assert 2 * len(planner._memo) <= len(reference._memo)
 
 
+def _assignment(net, known, blocked):
+    """A planner belief's masks as the reference's per-road assignment."""
+    return {
+        e.id: EdgeState.BLOCKED if blocked >> b & 1 else EdgeState.OPEN
+        for b, e in enumerate(net.edges)
+        if known >> b & 1
+    }
+
+
+@pytest.mark.parametrize("variant", PLANNER_VARIANTS)
+def test_every_planner_memo_entry_is_exact(variant):
+    # pruning and the reveal cutoff drop options that cannot win, never a
+    # belief's own result: every belief the planner expanded holds the
+    # full recursion's value, failure probability and target
+    for seed in range(10):
+        net, model, source, sink = PLANNER_VARIANTS[variant](seed)
+        for fc in (default_failure_cost(net), 0.5, 1.0):
+            planner = _Planner(net, model, sink, fc)
+            planner.plan(source, planner.inst.known, planner.inst.blocked)
+            reference = oracles.ReferencePlanner(net, model, sink, fc)
+            for (node, known, blocked), got in planner._memo.items():
+                want = reference.value(node, _assignment(net, known, blocked))
+                assert got == want, (seed, fc, node, known, blocked)
+
+
+def test_planner_cuts_a_reveal_that_cannot_win():
+    # S reaches T directly at 10. X, one road away, reaches T at 1, or at
+    # 101 through Y, and each of its two roads is blocked with p = 0.5.
+    # X's bound 1 + 1 admits it, but its second outcome (xy open, xt
+    # blocked) lifts the partial expectation to 1 + 25.5 + 0.5 * 1 > 10,
+    # so the two outcomes with xy blocked are never planned
+    net = make_network(
+        [
+            ("st", "S", "T", 10.0),
+            ("sx", "S", "X", 1.0),
+            ("xy", "X", "Y", 1.0),
+            ("xt", "X", "T", 1.0),
+            ("yt", "Y", "T", 100.0),
+        ],
+        directed=True,
+    )
+    model = make_model(st=0.0, sx=0.0, xy=0.5, xt=0.5, yt=0.0)
+    fc = default_failure_cost(net)
+    planner = _Planner(net, model, "T", fc)
+    got = planner.plan("S", planner.inst.known, planner.inst.blocked)
+    reference = oracles.ReferencePlanner(net, model, "T", fc)
+    assert got == reference.value("S", reference.base_assignment())
+    assert got == (10.0, 0.0, "T")
+    every, xy, xt = 0b11111, 0b00100, 0b01000
+    assert ("X", every, 0) in planner._memo
+    assert ("X", every, xt) in planner._memo
+    assert ("X", every, xy) not in planner._memo
+    assert ("X", every, xy | xt) not in planner._memo
+    world = oracles.Realization(states={e.id: EdgeState.OPEN for e in net.edges})
+    k = reveal(fresh_knowledge(net, "S"), "S", world)
+    assert optimal_action(net, model, k, "T", fc) == reference.action(k) == "T"
+
+
 WALK_VARIANTS = {
     "default": oracles.random_instance,
     "directed": partial(oracles.random_instance, directed=True),
