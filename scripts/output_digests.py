@@ -5,7 +5,8 @@ Builds one workload's operations with the benchmark's generator, runs each
 through its CLI runner and prints one JSON (kind, sha256, problems) line per
 operation. Two checkouts that give the same rows print the same bytes for
 every operation; run both from the same checkout path with the same
---workdir, since some outputs name the files they wrote.
+--workdir, since some outputs name the files they wrote. Exits 1 when any
+operation reports problems, after printing every line.
 
 Usage (from a checkout root):
     python3 scripts/output_digests.py grid-exact [--seed 7] [--workdir DIR]
@@ -31,6 +32,11 @@ import workloads  # noqa: E402
 cli = run.import_program(Path.cwd())
 workdir = args.workdir / args.workload
 workdir.mkdir(parents=True, exist_ok=True)
+failed = 0
 for op in workloads.build(args.workload, args.seed, workdir.resolve()):
     _, problems, digest = run.run_op(cli, op)
     print(json.dumps((op.kind, digest, problems)))
+    failed += bool(problems)
+if failed:
+    print(f"{failed} operations reported problems", file=sys.stderr)
+sys.exit(1 if failed else 0)

@@ -11,7 +11,8 @@ only then applies overrides, so two runs that differ only in overrides
 share the randomness of every other edge. The uniforms of replicate r are
 the first ones of its stream (rng.uniforms, drawn without building a
 generator), and edge l is blocked iff its uniform is below p_l, one
-float64 compare over the whole model.
+float64 compare over the whole model; the world's state dict is then
+built from those flags in one C-level pass, with no per-edge Python code.
 """
 
 from __future__ import annotations
@@ -158,6 +159,10 @@ class Realization:
             raise UnknownEdge(f"realization has no edge {edge_id!r}")
 
 
+# sampled state by blocked flag, so a world's dict is built in one C pass
+_STATES = (EdgeState.OPEN, EdgeState.BLOCKED)
+
+
 def expit(logits: "np.ndarray | float") -> np.ndarray:
     """Elementwise logistic function, exact at extreme logits instead of
     overflowing."""
@@ -216,10 +221,7 @@ def sample_realization(
     n = len(probs)
     uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, n)
     blocked = uniforms < np.fromiter(probs.values(), float, n)
-    states = {
-        edge_id: EdgeState.BLOCKED if b else EdgeState.OPEN
-        for edge_id, b in zip(probs, blocked.tolist())
-    }
+    states = dict(zip(probs, map(_STATES.__getitem__, blocked.tolist())))
     states.update(overrides)
     # every state is one of the two members or a checked override, so the
     # world skips Realization's copy and re-check

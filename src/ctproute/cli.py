@@ -234,8 +234,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
         failure_cost=config["failure_cost"],
     )
     rows = (
-        [r, fmt(dist.times[r]), "true" if dist.failed[r] else "false"]
-        for r in range(dist.replications)
+        [r, fmt(t), "true" if f else "false"]
+        for r, (t, f) in enumerate(zip(dist.times.tolist(), dist.failed.tolist()))
     )
     _write_text(args.output, csv_text(["replicate", "travel_time", "failed"], rows))
     config["policy"] = args.policy

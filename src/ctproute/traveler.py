@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -438,6 +439,9 @@ class Policy:
         raise NotImplementedError
 
 
+_MISS = object()  # a decision memo's miss, told apart from a cached None
+
+
 def _memoized(decide: Callable) -> Callable:
     """Memoize a concrete policy's decide in its one dict, self._memo,
     keyed on (current, known, blocked); each class still owns its decide.
@@ -447,11 +451,12 @@ def _memoized(decide: Callable) -> Callable:
     @functools.wraps(decide)
     def memoized(self, k: KnowledgeState) -> Optional[str]:
         key = (k.current, k.known, k.blocked)
-        if key not in self._memo:
+        hit = self._memo.get(key, _MISS)
+        if hit is _MISS:  # None, an abort, is a cached decision
             if k.current == self.sink:
                 raise ValidationError("traveler is already at the sink")
-            self._memo[key] = decide(self, k)
-        return self._memo[key]
+            hit = self._memo[key] = decide(self, k)
+        return hit
 
     return memoized
 
@@ -622,23 +627,27 @@ def walk_policy(
     Pure function of (world, policy): replicate r of a simulation can be
     reproduced in isolation by sampling world r and calling this.
 
-    The world's blocked edges are read into one mask, closed, up front.
-    Every known edge was revealed from this world, so an arrival ORs the
-    node's incident mask into known and the blocked mask is known & closed,
-    what reveal() gives. An edge the world lacks raises UnknownEdge when
-    an arrival first reveals it, as reveal() does.
+    The world's blocked entries, picked out in C, are read into one mask,
+    closed, up front; world edges outside the network are ignored. Every
+    known edge was revealed from this world, so an arrival ORs the node's
+    incident mask into known and the blocked mask is known & closed, what
+    reveal() gives. Only a world that lacks a network edge is read edge by
+    edge, into unseen, and that edge raises UnknownEdge when an arrival
+    first reveals it, as reveal() does.
     """
     net.require_node(source)
     net.require_node(sink)
-    bit = net.edge_bit
-    closed = seen = 0
-    for edge_id, state in world.states.items():
+    bit, states = net.edge_bit, world.states
+    closed = 0
+    for edge_id in itertools.compress(
+        states, map(operator.is_, states.values(), itertools.repeat(EdgeState.BLOCKED))
+    ):
         b = bit.get(edge_id)
         if b is not None:
-            seen |= 1 << b
-            if state is EdgeState.BLOCKED:
-                closed |= 1 << b
-    unseen = ~seen
+            closed |= 1 << b
+    unseen = 0
+    if not states.keys() >= bit.keys():
+        unseen = ~sum(1 << b for b in map(bit.get, states) if b is not None)
     incident = net.incident_mask
     current = source
     known = incident[source]
@@ -741,6 +750,8 @@ def simulate_policy(
     model.validate_for(net)
     net.require_node(source)
     net.require_node(sink)
+    if source == sink:
+        raise ValidationError("source and sink must differ")
     if replications < 1:
         raise ValidationError("replications must be at least 1")
     if failure_cost is None:

@@ -336,6 +336,26 @@ class TestRoute:
         assert rc == 2
         assert "X" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route"],
+            ["route", "--method", "mc"],
+            ["centrality", "--output", "c.csv"],
+            ["simulate", "--output", "s.csv"],
+        ],
+        ids=["route", "route-mc", "centrality", "simulate"],
+    )
+    def test_source_equal_sink_rejected_by_every_subcommand(
+        self, capsys, tri_graph, argv, monkeypatch, tmp_path
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(
+            capsys, argv + ["--graph", tri_graph, "--source", "T", "--sink", "T"]
+        )
+        assert (rc, out) == (2, "")
+        assert "source and sink must differ" in err
+
     def test_missing_graph_file_rejected(self, capsys, tmp_path):
         rc, _, err = run(
             capsys,

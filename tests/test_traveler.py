@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from ctproute import traveler
 from ctproute.blockage import BlockageModel, EdgeState, sample_realization
 from ctproute.errors import (
     BadRoute,
@@ -463,6 +464,23 @@ class TestPolicies:
             else:
                 make_policy(kind, net, model, "T", route=("S", "T")).decide(k)
 
+    def test_memoized_abort_is_not_recomputed(self, monkeypatch):
+        # T is cut off, so greedy's one search finds no path and aborts;
+        # the None it returns is a cached decision, not a memo miss
+        net = make_network([("sa", "S", "A", 1.0)], extra_nodes=("T",))
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return shortest_path(*args, **kwargs)
+
+        monkeypatch.setattr(traveler, "shortest_path", counting)
+        policy = ReplanGreedyPolicy(net, "T")
+        k = KnowledgeState(net, "S", 1, 0)
+        assert policy.decide(k) is None
+        assert policy.decide(k) is None
+        assert len(calls) == 1
+
     def test_make_policy_dispatch(self):
         net, model = tri_fixture()
         assert make_policy("optimal", net, model, "T").kind == "optimal"
@@ -577,6 +595,12 @@ class TestExactPolicyEvaluation:
 
 
 class TestSimulation:
+    def test_source_equal_sink_rejected(self):
+        net, model = tri_fixture()
+        policy = ReplanGreedyPolicy(net, "T")
+        with pytest.raises(ValidationError, match="must differ"):
+            simulate_policy(net, model, policy, "T", "T", 10, seed=0)
+
     def test_deterministic_worlds_are_walked_exactly(self):
         net, model = tb_fixture(0.0)
         policy = OptimalPolicy(net, model, "T", default_failure_cost(net))
@@ -964,3 +988,20 @@ def test_world_missing_an_edge_raises_only_when_a_reveal_reaches_it():
             world = {e: s for e, s in everything.items() if e not in lacking}
             with pytest.raises(UnknownEdge, match=f"realization has no edge '{named}'"):
                 walk(net, oracles.Realization(world), policy, "S", "T", 9.0)
+
+
+@pytest.mark.parametrize("variant", WALK_VARIANTS)
+def test_world_edges_outside_the_network_change_no_walk(variant):
+    # each world gets two foreign roads ahead of its own, one blocked and
+    # one open; the walk must read only the network's roads
+    for seed in range(10):
+        net, model, source, sink = WALK_VARIANTS[variant](seed)
+        fc = default_failure_cost(net)
+        for kind, make in _walk_policies(net, model, source, sink, fc).items():
+            policy = make()
+            for r in range(4):
+                world = sample_realization(model, seed, stream=r)
+                foreign = {"zz_blocked": EdgeState.BLOCKED, "zz_open": EdgeState.OPEN}
+                wider = oracles.Realization({**foreign, **world.states})
+                got = walk_policy(net, wider, policy, source, sink, fc)
+                assert got == walk_policy(net, world, policy, source, sink, fc), kind
