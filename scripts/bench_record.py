@@ -9,6 +9,8 @@ ran with. Each run lasts ``run_seconds`` of the ``BENCHMARK.json`` next
 to this script, the benchmark's own run length. With two checkouts every
 seed runs in both, and which one goes first alternates from seed to
 seed, so a slow spell of a shared machine falls on both sides alike.
+Exits 1 at once when a run exits non-zero, and after writing every row
+when any run was not correct or had failed operations.
 
 Usage (from a checkout root; LABEL=DIR names a checkout to run):
     python3 scripts/bench_record.py new=. old=../parent \\
@@ -47,6 +49,7 @@ def main() -> int:
     if len({label for label, _ in sides}) < len(sides):
         parser.error("the two checkouts need different labels")
 
+    bad = 0
     with contextlib.ExitStack() as stack:
         files = {
             label: stack.enter_context(open(args.out / f"BENCH_{label}.json", "w"))
@@ -74,9 +77,12 @@ def main() -> int:
                 }
                 files[label].write(json.dumps(row) + "\n")
                 files[label].flush()
-                print(f"{label} seed {seed}: "
+                bad += not row["correct"] or row["failed"] > 0
+                print(f"{label} seed {seed}: correct {row['correct']}, "
                       f"{row['failed']} of {row['attempted']} ops failed")
-    return 0
+    if bad:
+        print(f"{bad} runs were not correct or had failed ops", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from .network import RoadNetwork, dijkstra_distances
 from .render import csv_text, fmt
 from .traveler import (
     OptimalPolicy,
-    default_failure_cost,
+    checked_failure_cost,
     evaluate_policy_exact,
     simulate_policy,
 )
@@ -127,8 +127,7 @@ def canadian_betweenness(
     net.require_node(sink)
     if source == sink:
         raise ValidationError("source and sink must differ")
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
+    failure_cost = checked_failure_cost(net, failure_cost)
     cond = _conditioned_model(net, model, edge_id, mode)
     policy = _policy
     if policy is None or mode == "others_open":
@@ -199,8 +198,7 @@ def canadian_betweenness_all(
     """Blockage centrality for every edge, rows in edge id order."""
     _validate_options(mode, method, failure_handling)
     model.validate_for(net)
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
+    failure_cost = checked_failure_cost(net, failure_cost)
     shared = None
     if mode == "others_stochastic":
         # one nominal policy serves every edge in this mode

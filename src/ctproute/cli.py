@@ -33,7 +33,7 @@ from .network import RoadNetwork, parse_graph_document
 from .render import csv_text, fmt, render_json
 from .traveler import (
     OptimalPolicy,
-    default_failure_cost,
+    checked_failure_cost,
     exact_expected_time,
     make_policy,
     simulate_policy,
@@ -112,9 +112,6 @@ def _load_model(args: argparse.Namespace) -> tuple[RoadNetwork, BlockageModel, s
 
 
 def _graph_config(args: argparse.Namespace, net: RoadNetwork, source_label: str) -> dict:
-    failure_cost = args.failure_cost
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
     return {
         "subcommand": args.subcommand,
         "graph": args.graph,
@@ -123,7 +120,7 @@ def _graph_config(args: argparse.Namespace, net: RoadNetwork, source_label: str)
         "sink": args.sink,
         "seed": args.seed,
         "reps": args.reps,
-        "failure_cost": failure_cost,
+        "failure_cost": checked_failure_cost(net, args.failure_cost),
         "output": args.output,
     }
 
@@ -334,7 +331,7 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
         dest="failure_cost",
         type=float,
         default=None,
-        help="cost charged when the sink is unreachable "
+        help="cost charged when the sink is unreachable, finite and >= 0 "
         "(default: 2 x total edge cost)",
     )
     p.add_argument("--output", help="write the result here instead of stdout")

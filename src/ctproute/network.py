@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -42,10 +42,17 @@ class Edge:
 
 @dataclass(frozen=True)
 class PathResult:
-    """A concrete path: node sequence plus its total cost."""
+    """A concrete path: node sequence plus its total cost.
+
+    examined masks the edges whose passability the search read, those
+    leaving the nodes it settled before the target, so any mask that
+    agrees with its mask there gives the same result; -1, the default for
+    a hand-built result, stands for every edge.
+    """
 
     nodes: tuple[str, ...]
     cost: float
+    examined: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -186,8 +193,8 @@ def parse_graph_document(text: str) -> tuple[RoadNetwork, Optional[dict[str, flo
         _require(isinstance(raw, dict), "each edge must be a JSON object")
         extra = set(raw) - _EDGE_KEYS
         _require(not extra, f"unknown edge keys: {sorted(extra)}")
-        for field in ("id", "u", "v", "cost"):
-            _require(field in raw, f"edge missing required key {field!r}")
+        for key in ("id", "u", "v", "cost"):
+            _require(key in raw, f"edge missing required key {key!r}")
         cost = raw["cost"]
         _require(
             isinstance(cost, (int, float)) and not isinstance(cost, bool),
@@ -275,9 +282,10 @@ def shortest_path(
     """
     net.require_node(source)
     net.require_node(target)
-    arcs = net.arcs
+    arcs, outgoing = net.arcs, net.outgoing_mask
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
     done: set[str] = set()
+    examined = 0
     while heap:
         d, seq = heapq.heappop(heap)
         node = seq[-1]
@@ -285,7 +293,8 @@ def shortest_path(
             continue
         done.add(node)
         if node == target:
-            return PathResult(nodes=seq, cost=d)
+            return PathResult(nodes=seq, cost=d, examined=examined)
+        examined |= outgoing[node]
         for bit, other, cost in arcs[node]:
             if not mask & bit or other in done:
                 continue

@@ -76,6 +76,16 @@ def default_failure_cost(net: RoadNetwork) -> float:
     return 2.0 * net.total_cost()
 
 
+def checked_failure_cost(net: RoadNetwork, failure_cost: Optional[float]) -> float:
+    """failure_cost, or the network's default for None; it must be finite
+    and not negative."""
+    if failure_cost is None:
+        return default_failure_cost(net)
+    if not math.isfinite(failure_cost) or failure_cost < 0:
+        raise ValidationError(f"failure cost must be finite and >= 0: {failure_cost!r}")
+    return failure_cost
+
+
 @dataclass(frozen=True)
 class KnowledgeState:
     """What the traveler has observed: its position and two edge masks.
@@ -261,7 +271,7 @@ class _Planner:
         self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
     ):
         self.inst = _compile(net, model, sink)
-        self.failure_cost = float(failure_cost)
+        self.failure_cost = float(checked_failure_cost(net, failure_cost))
         self._memo: dict[tuple[str, int, int], tuple[float, float, Optional[str]]] = {}
         self._reach: dict[tuple[str, int], bool] = {}
         self._dist: dict[tuple[str, int], dict[str, float]] = {}
@@ -392,8 +402,7 @@ def exact_expected_time(
     net.require_node(sink)
     if source == sink:
         raise ValidationError("source and sink must differ")
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
+    failure_cost = checked_failure_cost(net, failure_cost)
     planner = _Planner(net, model, sink, failure_cost)
     value, fail, _ = planner.plan(source, planner.inst.known, planner.inst.blocked)
     return ExpectedTime(
@@ -418,8 +427,7 @@ def optimal_action(
     net.require_node(sink)
     if knowledge.current == sink:
         raise ValidationError("traveler is already at the sink")
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
+    failure_cost = checked_failure_cost(net, failure_cost)
     planner = _Planner(net, model, sink, failure_cost)
     _, _, target = planner.plan(knowledge.current, *planner.belief(knowledge))
     return target
@@ -515,15 +523,29 @@ class ReplanGreedyPolicy(Policy):
         self.net = net
         self.sink = sink
         self._memo: dict = {}
+        # node -> examined -> blocked & examined -> first hop of the search
+        self._first_hops: dict[str, dict[int, dict[int, str]]] = {}
 
     @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
         return self._greedy_step(k)
 
     def _greedy_step(self, k: KnowledgeState) -> Optional[str]:
-        """The greedy decision, not memoized."""
-        path = shortest_path(self.net, k.current, self.sink, ~k.blocked)
-        return None if path is None else _known_open_step(self.net, k, path.nodes[1])
+        """The greedy decision, not memoized. A search from k.current whose
+        examined edges k.blocked agrees on would return the same path, so
+        its first hop is reused; an abort is searched again."""
+        groups = self._first_hops.setdefault(k.current, {})
+        for examined, hops in groups.items():
+            nxt = hops.get(k.blocked & examined)
+            if nxt is not None:
+                break
+        else:
+            path = shortest_path(self.net, k.current, self.sink, ~k.blocked)
+            if path is None:
+                return None
+            nxt = path.nodes[1]
+            groups.setdefault(path.examined, {})[k.blocked & path.examined] = nxt
+        return _known_open_step(self.net, k, nxt)
 
 
 class FixedRoutePolicy(ReplanGreedyPolicy):
@@ -577,8 +599,7 @@ def make_policy(
     route: Optional[Sequence[str]] = None,
 ) -> Policy:
     net.require_node(sink)
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
+    failure_cost = checked_failure_cost(net, failure_cost)
     if kind == "optimal":
         return OptimalPolicy(net, model, sink, failure_cost)
     if kind == "replan":
@@ -754,8 +775,7 @@ def simulate_policy(
         raise ValidationError("source and sink must differ")
     if replications < 1:
         raise ValidationError("replications must be at least 1")
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
+    failure_cost = checked_failure_cost(net, failure_cost)
     times = np.empty(replications, dtype=float)
     failed = np.empty(replications, dtype=bool)
     for r in range(replications):
@@ -793,8 +813,7 @@ def evaluate_policy_exact(
     net.require_node(sink)
     if source == sink:
         raise ValidationError("source and sink must differ")
-    if failure_cost is None:
-        failure_cost = default_failure_cost(net)
+    failure_cost = checked_failure_cost(net, failure_cost)
     inst = _compile(net, model, sink, overrides)
     _check_cap(inst, source, 0, inst.blocked)
     memo: dict[tuple[str, int, int], tuple[float, float]] = {}

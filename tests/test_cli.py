@@ -37,6 +37,13 @@ TRI_DOC_NO_P = json.dumps(
     }
 )
 
+ONE_ROAD_DOC = json.dumps(
+    {
+        "nodes": ["S", "T"],
+        "edges": [{"id": "st", "u": "S", "v": "T", "cost": 10, "p": 0.3}],
+    }
+)
+
 TRI_PROBS_CSV = "edge_id,p\nd,0.3\na,0\nb,0\n"
 
 
@@ -355,6 +362,43 @@ class TestRoute:
         )
         assert (rc, out) == (2, "")
         assert "source and sink must differ" in err
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-5"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route"],
+            ["route", "--method", "mc"],
+            ["centrality", "--output", "c.csv"],
+            ["simulate", "--output", "s.csv"],
+        ],
+        ids=["route", "route-mc", "centrality", "simulate"],
+    )
+    def test_bad_failure_cost_rejected_by_every_subcommand(
+        self, capsys, argv, bad, monkeypatch, tmp_path
+    ):
+        # one road, so every finished journey costs 10: a negative failure
+        # cost would report an expectation below it and NaN a null value
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.json").write_text(ONE_ROAD_DOC, encoding="utf-8")
+        rc, out, err = run(
+            capsys,
+            argv + ["--graph", "one.json", "--source", "S", "--sink", "T",
+                    f"--failure-cost={bad}"],
+        )
+        assert (rc, out) == (2, "")
+        assert "failure cost must be finite and >= 0" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
+
+    def test_zero_failure_cost_accepted(self, capsys, tmp_path):
+        (tmp_path / "one.json").write_text(ONE_ROAD_DOC, encoding="utf-8")
+        rc, out, _ = run(
+            capsys,
+            ["route", "--graph", str(tmp_path / "one.json"), "--source", "S",
+             "--sink", "T", "--failure-cost=0"],
+        )
+        assert rc == 0
+        assert json.loads(out)["value"] == pytest.approx(7.0, abs=1e-12)
 
     def test_missing_graph_file_rejected(self, capsys, tmp_path):
         rc, _, err = run(

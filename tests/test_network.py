@@ -14,6 +14,7 @@ import oracles
 from ctproute.errors import ParseError, UnknownNode, ValidationError
 from ctproute.network import (
     Edge,
+    PathResult,
     RoadNetwork,
     cheapest_edge,
     dijkstra_distances,
@@ -369,3 +370,46 @@ def test_mask_searches_agree_with_oracles(seed, graph):
                 )
                 edge = cheapest_edge(net, source, target, mask)
                 assert (edge and edge.id) == (joining[0][1] if joining else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    graph=st.sampled_from(["grid", "directed_grid", "multigraph"]),
+)
+def test_a_mask_that_agrees_on_the_examined_edges_finds_the_same_path(seed, graph):
+    if graph == "multigraph":
+        net = _multigraph(seed)
+    else:
+        net, *_ = oracles.random_grid(
+            seed, rows=3, cols=4, uncertain=0, directed=graph == "directed_grid"
+        )
+    gen = np.random.default_rng(seed)
+    every = (1 << len(net.edges)) - 1
+
+    def random_mask():
+        return sum(1 << b for b in range(len(net.edges)) if gen.uniform() < 0.7)
+
+    for source in net.nodes:
+        for target in net.nodes:
+            if source == target:
+                continue
+            mask = random_mask()
+            path = shortest_path(net, source, target, mask)
+            if path is None:
+                continue
+            examined = path.examined
+            assert 0 <= examined <= every
+            # the source's arcs are read before anything else is settled
+            assert examined & net.outgoing_mask[source] == net.outgoing_mask[source]
+            for _ in range(4):
+                agreeing = mask & examined | random_mask() & ~examined
+                again = shortest_path(net, source, target, agreeing)
+                assert again == path
+                assert again.examined == examined
+
+
+def test_path_equality_ignores_the_examined_edges():
+    built = PathResult(nodes=("a", "b"), cost=1.0)
+    assert built.examined == -1
+    assert built == PathResult(nodes=("a", "b"), cost=1.0, examined=0b101)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from ctproute import traveler
 from ctproute.blockage import BlockageModel, EdgeState, sample_realization
+from ctproute.centrality import canadian_betweenness, canadian_betweenness_all
 from ctproute.errors import (
     BadRoute,
     TooManyUncertainEdges,
@@ -1005,3 +1006,122 @@ def test_world_edges_outside_the_network_change_no_walk(variant):
                 wider = oracles.Realization({**foreign, **world.states})
                 got = walk_policy(net, wider, policy, source, sink, fc)
                 assert got == walk_policy(net, world, policy, source, sink, fc), kind
+
+
+def _uncached_greedy(net, sink, k):
+    """The greedy decision by one fresh search."""
+    path = shortest_path(net, k.current, sink, ~k.blocked)
+    return None if path is None else traveler._known_open_step(net, k, path.nodes[1])
+
+
+def _counting_searches(monkeypatch):
+    """Count the policies' shortest_path calls."""
+    calls = []
+    search = traveler.shortest_path
+
+    def counting(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(traveler, "shortest_path", counting)
+    return calls
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_greedy_policies_decide_like_an_uncached_search(directed, monkeypatch):
+    # beliefs come from a few nodes and block roads from a small pool, so
+    # the first-hop cache is hit within a sequence; ties are everywhere
+    calls = _counting_searches(monkeypatch)
+    searches = beliefs = 0
+    for seed in range(30):
+        net, _, source, sink = oracles.random_grid(
+            seed, rows=3 + seed % 3, cols=4, uncertain=0, directed=directed
+        )
+        gen = np.random.default_rng(seed)
+        replan = ReplanGreedyPolicy(net, sink)
+        path = shortest_path(net, source, sink)
+        fixed = FixedRoutePolicy(net, sink, path.nodes) if path else None
+        nodes = [n for n in net.nodes if n != sink]
+        starts = [nodes[int(i)] for i in gen.choice(len(nodes), size=3, replace=False)]
+        pool = [int(b) for b in gen.choice(len(net.edges), size=6, replace=False)]
+        for _ in range(60):
+            current = starts[int(gen.integers(3))]
+            blocked = sum(1 << b for b in pool if gen.uniform() < 0.4)
+            known = net.incident_mask[current] | blocked
+            k = KnowledgeState(net, current, known, blocked)
+            want = _uncached_greedy(net, sink, k)
+            before = len(calls)
+            assert replan.decide(k) == want
+            searches += len(calls) - before
+            if fixed:
+                i = fixed._index.get(current)
+                if i is not None and all(h & ~blocked for h in fixed._hops[i:]):
+                    want = traveler._known_open_step(net, k, fixed.route[i + 1])
+                assert fixed.decide(k) == want
+        beliefs += len(replan._memo)
+    # without the cache each distinct belief would make one search
+    assert searches < beliefs
+
+
+def test_greedy_searches_again_only_when_an_examined_road_changes(monkeypatch):
+    # from S the search settles S and A and pops T, so it reads sa, sx and
+    # at, never xy or yt
+    net = make_network(
+        [
+            ("sa", "S", "A", 1.0),
+            ("at", "A", "T", 1.0),
+            ("sx", "S", "X", 5.0),
+            ("xy", "X", "Y", 1.0),
+            ("yt", "Y", "T", 1.0),
+        ]
+    )
+    bit = {e: 1 << net.edge_bit[e] for e in net.edge_by_id}
+    path = shortest_path(net, "S", "T")
+    assert path.examined == bit["sa"] | bit["sx"] | bit["at"]
+    calls = _counting_searches(monkeypatch)
+    policy = ReplanGreedyPolicy(net, "T")
+    at_s = net.incident_mask["S"]
+    assert policy.decide(KnowledgeState(net, "S", at_s, 0)) == "sa"
+    assert len(calls) == 1
+    # xy blocked lies outside what the search read: no new search
+    known = at_s | bit["xy"]
+    assert policy.decide(KnowledgeState(net, "S", known, bit["xy"])) == "sa"
+    assert len(calls) == 1
+    # at blocked lies inside it: a new search, which detours through X
+    known = at_s | bit["at"]
+    assert policy.decide(KnowledgeState(net, "S", known, bit["at"])) == "sx"
+    assert len(calls) == 2
+    # an abort is not cached: each new belief that aborts searches again
+    blocked = bit["at"] | bit["xy"]
+    assert policy.decide(KnowledgeState(net, "S", at_s | blocked, blocked)) is None
+    assert len(calls) == 3
+    known = at_s | blocked | bit["yt"]
+    assert policy.decide(KnowledgeState(net, "S", known, blocked)) is None
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+def test_every_entry_point_refuses_a_bad_failure_cost(bad):
+    net, model = tri_fixture()
+    policy = ReplanGreedyPolicy(net, "T")
+    k = fresh_knowledge(net, "S")
+    calls = [
+        lambda: exact_expected_time(net, model, "S", "T", bad),
+        lambda: optimal_action(net, model, k, "T", bad),
+        lambda: make_policy("replan", net, model, "T", bad),
+        lambda: OptimalPolicy(net, model, "T", bad),
+        lambda: simulate_policy(net, model, policy, "S", "T", 10, 0, bad),
+        lambda: evaluate_policy_exact(net, model, policy, "S", "T", bad),
+        lambda: canadian_betweenness(net, model, "S", "T", "d", failure_cost=bad),
+        lambda: canadian_betweenness_all(net, model, "S", "T", failure_cost=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="failure cost must be finite"):
+            call()
+
+
+def test_failure_cost_defaults_and_accepts_zero():
+    net, _ = tri_fixture()
+    assert traveler.checked_failure_cost(net, None) == default_failure_cost(net)
+    assert traveler.checked_failure_cost(net, 0.0) == 0.0
+    assert traveler.checked_failure_cost(net, 7.5) == 7.5
