@@ -11,6 +11,11 @@ world, so the policy discovers the forced state on arrival like any
 other observation. Whether the other edges stay random or are forced
 open is the analyst's choice (the mode).
 
+Monte Carlo estimates both terms on common random numbers: replicate r
+of the pair samples one world and walks it once, up to the first arrival
+that reveals e, then forks into a copy with e blocked and one with e
+open. A walk that ends before e is revealed counts for both terms.
+
 A deterministic geodesic edge betweenness is included as a baseline:
 over unordered node pairs, the fraction of minimum cost paths through
 each edge, with equal splitting across ties and no normalization.
@@ -37,7 +42,7 @@ from .traveler import (
     OptimalPolicy,
     checked_failure_cost,
     evaluate_policy_exact,
-    simulate_policy,
+    simulate_blocked_and_open,
 )
 
 MODES = ("others_stochastic", "others_open")
@@ -153,21 +158,18 @@ def canadian_betweenness(
             p_fail_open=opened.failure_probability,
         )
 
-    # common random numbers: replicate r of the blocked and the open run
-    # samples the same world apart from the edge itself
-    run_seed = rng.derive_seed(seed, edge_id)
-    stats: dict[str, tuple[float, float, float]] = {}
-    for label, state in (("blocked", EdgeState.BLOCKED), ("open", EdgeState.OPEN)):
-        dist = simulate_policy(
-            net, cond, policy, source, sink, replications, run_seed,
-            failure_cost, overrides={edge_id: state},
-        )
+    pair = simulate_blocked_and_open(
+        net, cond, policy, source, sink, edge_id, replications,
+        rng.derive_seed(seed, edge_id), failure_cost,
+    )
+    stats = []
+    for dist in pair:
         if failure_handling == "penalty":
-            stats[label] = (dist.mean, dist.stderr, dist.failure_frequency)
+            stats.append((dist.mean, dist.stderr, dist.failure_frequency))
         else:
             mean, se = _conditional_stats(dist)
-            stats[label] = (mean, se, dist.failure_frequency)
-    (bv, bse, bf), (ov, ose, of) = stats["blocked"], stats["open"]
+            stats.append((mean, se, dist.failure_frequency))
+    (bv, bse, bf), (ov, ose, of) = stats
     return CbcResult(
         edge_id=edge_id,
         mode=mode,

@@ -655,9 +655,24 @@ def walk_policy(
     reveal() gives. Only a world that lacks a network edge is read edge by
     edge, into unseen, and that edge raises UnknownEdge when an arrival
     first reveals it, as reveal() does.
+
+    Centrality's pairs run the same loop (simulate_blocked_and_open): one
+    world per pair, walked once up to the first arrival that reveals the
+    conditioned edge, then forked into a copy with the edge blocked and
+    one with it open.
     """
     net.require_node(source)
     net.require_node(sink)
+    closed, unseen = _world_masks(net, world)
+    return _walk(
+        net, world, closed, unseen, policy, sink, failure_cost,
+        _start(net, source), [source], 0,
+    )
+
+
+def _world_masks(net: RoadNetwork, world: Realization) -> tuple[int, int]:
+    """(closed, unseen): the world's blocked network edges, and the
+    complement of the network edges it holds, or 0 when it holds them all."""
     bit, states = net.edge_bit, world.states
     closed = 0
     for edge_id in itertools.compress(
@@ -669,15 +684,41 @@ def walk_policy(
     unseen = 0
     if not states.keys() >= bit.keys():
         unseen = ~sum(1 << b for b in map(bit.get, states) if b is not None)
+    return closed, unseen
+
+
+def _start(net: RoadNetwork, source: str) -> tuple[str, int, float, int]:
+    """A walk's position before its first move: (current node, known
+    mask, time spent, steps left), with the whole step budget left."""
+    steps = 4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16
+    return source, net.incident_mask[source], 0.0, steps
+
+
+def _walk(
+    net: RoadNetwork,
+    world: Realization,
+    closed: int,
+    unseen: int,
+    policy: Policy,
+    sink: str,
+    failure_cost: float,
+    at: tuple[str, int, float, int],
+    path: list[str],
+    stop: int,
+) -> ReplicateOutcome | tuple[str, int, float, int]:
+    """Walk on from position `at` (see _start), appending each node to
+    path, which ends at `at`'s node. Returns the ReplicateOutcome, or the
+    position where known first meets the mask stop, before the traveler
+    there decides: a copy of the walk can go on from it in a world that
+    differs only on stop."""
+    current, known, time, steps = at
     incident = net.incident_mask
-    current = source
-    known = incident[source]
-    time = 0.0
-    path = [source]
-    max_steps = 4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16
-    for _ in range(max_steps):
-        if known & unseen:
-            _lacking_edge(net, world, known & unseen)
+    watch = unseen | stop
+    for left in range(steps, 0, -1):
+        if known & watch:
+            if known & unseen:
+                _lacking_edge(net, world, known & unseen)
+            return current, known, time, left
         if current == sink:
             return ReplicateOutcome(time, False, tuple(path))
         k = KnowledgeState(net, current, known, known & closed)
@@ -752,6 +793,25 @@ class TravelTimeDistribution:
         }
 
 
+def _checked_run(
+    net: RoadNetwork,
+    model: BlockageModel,
+    source: str,
+    sink: str,
+    replications: int,
+    failure_cost: Optional[float],
+) -> float:
+    """Validate a Monte Carlo run's inputs; returns its failure cost."""
+    model.validate_for(net)
+    net.require_node(source)
+    net.require_node(sink)
+    if source == sink:
+        raise ValidationError("source and sink must differ")
+    if replications < 1:
+        raise ValidationError("replications must be at least 1")
+    return checked_failure_cost(net, failure_cost)
+
+
 def simulate_policy(
     net: RoadNetwork,
     model: BlockageModel,
@@ -768,14 +828,7 @@ def simulate_policy(
     Replicate r draws its world from substream (seed, r), so output is
     independent of batching and worker count, and reruns are identical.
     """
-    model.validate_for(net)
-    net.require_node(source)
-    net.require_node(sink)
-    if source == sink:
-        raise ValidationError("source and sink must differ")
-    if replications < 1:
-        raise ValidationError("replications must be at least 1")
-    failure_cost = checked_failure_cost(net, failure_cost)
+    failure_cost = _checked_run(net, model, source, sink, replications, failure_cost)
     times = np.empty(replications, dtype=float)
     failed = np.empty(replications, dtype=bool)
     for r in range(replications):
@@ -790,6 +843,61 @@ def simulate_policy(
         seed=seed,
         policy_kind=policy.kind,
     )
+
+
+def simulate_blocked_and_open(
+    net: RoadNetwork,
+    model: BlockageModel,
+    policy: Policy,
+    source: str,
+    sink: str,
+    edge_id: str,
+    replications: int,
+    seed: int,
+    failure_cost: Optional[float] = None,
+) -> tuple[TravelTimeDistribution, TravelTimeDistribution]:
+    """simulate_policy with edge_id forced blocked, and with it forced
+    open, on common random numbers: equal to the two runs with overrides
+    {edge_id: BLOCKED} and {edge_id: OPEN}.
+
+    Replicate r samples its world once and walks it once, up to the first
+    arrival that reveals edge_id; until then the two runs see the same
+    roads and make the same moves. From there one copy goes on with the
+    edge blocked and one with it open, each with the steps left. A walk
+    that ends before the edge is revealed counts for both runs.
+    """
+    failure_cost = _checked_run(net, model, source, sink, replications, failure_cost)
+    checked_overrides(model, {edge_id: EdgeState.BLOCKED})
+    bit = 1 << net.edge_bit[edge_id]
+    start = _start(net, source)
+    b_times, o_times = np.empty(replications), np.empty(replications)
+    b_failed = np.empty(replications, dtype=bool)
+    o_failed = np.empty(replications, dtype=bool)
+    for r in range(replications):
+        world = sample_realization(model, seed, stream=r)
+        closed, unseen = _world_masks(net, world)
+        closed &= ~bit
+        path = [source]
+        at = _walk(
+            net, world, closed, unseen, policy, sink, failure_cost, start, path, bit
+        )
+        if isinstance(at, ReplicateOutcome):
+            blocked = opened = at
+        else:
+            blocked = _walk(
+                net, world, closed | bit, unseen, policy, sink, failure_cost,
+                at, list(path), 0,
+            )
+            opened = _walk(
+                net, world, closed, unseen, policy, sink, failure_cost, at, path, 0
+            )
+        b_times[r], b_failed[r] = blocked.travel_time, blocked.failed
+        o_times[r], o_failed[r] = opened.travel_time, opened.failed
+
+    def distribution(times: np.ndarray, failed: np.ndarray) -> TravelTimeDistribution:
+        return TravelTimeDistribution(times, failed, failure_cost, seed, policy.kind)
+
+    return distribution(b_times, b_failed), distribution(o_times, o_failed)
 
 
 def evaluate_policy_exact(

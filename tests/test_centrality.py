@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import oracles
+from ctproute import rng
+from ctproute.blockage import EdgeState
 from ctproute.centrality import (
     CSV_HEADER,
+    FAILURE_HANDLING,
+    MODES,
     CbcResult,
+    _conditional_stats,
+    _conditioned_model,
     canadian_betweenness,
     canadian_betweenness_all,
     geodesic_scores,
@@ -21,8 +28,30 @@ from ctproute.errors import (
     ValidationError,
 )
 from ctproute.fixtures import tb_fixture, tri_fixture
-from ctproute.traveler import default_failure_cost
+from ctproute.traveler import (
+    OptimalPolicy,
+    Policy,
+    default_failure_cost,
+    simulate_blocked_and_open,
+    simulate_policy,
+)
 from helpers import make_network, make_model
+
+
+class _CountingPolicy(Policy):
+    """Passes each decision to inner, counting the calls and recording
+    the nodes decided at."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kind = inner.kind
+        self.calls = 0
+        self.nodes = set()
+
+    def decide(self, k):
+        self.calls += 1
+        self.nodes.add(k.current)
+        return self.inner.decide(k)
 
 
 class TestExactCentrality:
@@ -215,6 +244,87 @@ class TestMonteCarloCentrality:
         )
         assert math.isnan(row.e_t_blocked)
         assert row.p_fail_blocked == 1.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_forked_pair_equals_two_overridden_runs(self, directed, mode):
+        # replicate r of both runs samples one world and walks it once up
+        # to the road's first reveal; the result must be the two separate
+        # simulate_policy runs, and each row what they give under either
+        # failure handling
+        seen = set()
+        for seed in range(5):
+            net, model, source, sink = oracles.random_grid(
+                seed, rows=3, cols=3, uncertain=4, directed=directed
+            )
+            fc = default_failure_cost(net)
+            for i, edge in enumerate(net.edges):
+                reps = 1 if i % 4 == 0 else 12
+                cond = _conditioned_model(net, model, edge.id, mode)
+                policy = _CountingPolicy(OptimalPolicy(net, cond, sink, fc))
+                run_seed = rng.derive_seed(seed, edge.id)
+                runs = [
+                    simulate_policy(
+                        net, cond, policy, source, sink, reps, run_seed, fc,
+                        overrides={edge.id: state},
+                    )
+                    for state in (EdgeState.BLOCKED, EdgeState.OPEN)
+                ]
+                pair = simulate_blocked_and_open(
+                    net, cond, policy, source, sink, edge.id, reps, run_seed, fc
+                )
+                for got, want in zip(pair, runs):
+                    assert np.array_equal(got.times, want.times)
+                    assert np.array_equal(got.failed, want.failed)
+                    assert (got.failure_cost, got.seed, got.policy_kind) == (
+                        want.failure_cost, want.seed, want.policy_kind
+                    )
+                for handling in FAILURE_HANDLING:
+                    row = canadian_betweenness(
+                        net, model, source, sink, edge.id, mode=mode,
+                        method="monte_carlo", replications=reps, seed=seed,
+                        failure_cost=fc, failure_handling=handling,
+                    )
+                    if handling == "penalty":
+                        want = [(d.mean, d.stderr) for d in runs]
+                    else:
+                        want = [_conditional_stats(d) for d in runs]
+                    got = [
+                        (row.e_t_blocked, row.se_blocked),
+                        (row.e_t_open, row.se_open),
+                    ]
+                    # equal, NaN included
+                    np.testing.assert_equal(got, want)
+                    assert (row.p_fail_blocked, row.p_fail_open) == tuple(
+                        d.failure_frequency for d in runs
+                    )
+                ends = {edge.u, edge.v}
+                if source in ends:
+                    seen.add("road at the source")
+                elif not ends & (policy.nodes | {sink}):
+                    seen.add("road no walk reaches")
+                if reps == 1:
+                    seen.add("one replicate")
+        assert seen == {"road at the source", "road no walk reaches", "one replicate"}
+
+    def test_pair_walks_once_while_the_road_stays_unseen(self):
+        # the direct road d never fails, so no walk reaches M and its road
+        # x: each replicate is one step, decided once for both runs
+        net = make_network(
+            [
+                ("d", "S", "T", 10.0),
+                ("a", "S", "M", 4.0),
+                ("b", "M", "T", 8.0),
+                ("x", "M", "X", 1.0),
+            ]
+        )
+        model = make_model(d=0.0, a=0.3, b=0.3, x=0.5)
+        policy = _CountingPolicy(OptimalPolicy(net, model, "T", 20.0))
+        blocked, opened = simulate_blocked_and_open(
+            net, model, policy, "S", "T", "x", 50, 3, 20.0
+        )
+        assert policy.calls == 50 and policy.nodes == {"S"}
+        assert np.all(blocked.times == 10.0) and np.all(opened.times == 10.0)
 
 
 class TestOptionValidation:
