@@ -40,18 +40,14 @@ from .traveler import (
 )
 
 DEFAULT_REPS = 10000
-# flags, per subcommand that runs the exact planner, that avoid its cap
+# advice, per subcommand that runs the exact planner, when it refuses:
+# Monte Carlo of the optimal policy still plans at every decision, so
+# only a policy that does not plan avoids the cap
 CAP_HINTS = {
-    "route": "--method mc",
-    "centrality": "--method mc",
-    "simulate": "--policy replan",
-}
-# advice, per subcommand, when the refused run already used --method mc:
-# Monte Carlo still plans the optimal policy at every decision
-MC_CAP_HINTS = {
     "route": "use simulate --policy replan",
     "centrality": "no centrality method runs past the cap, since centrality "
     "always plans the optimal policy",
+    "simulate": "use --policy replan",
 }
 
 
@@ -429,10 +425,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return _HANDLERS[args.subcommand](args)
     except TooManyUncertainEdges as exc:
-        hint = f"use {CAP_HINTS[args.subcommand]}"
-        if getattr(args, "method", None) == "mc":
-            hint = MC_CAP_HINTS[args.subcommand]
-        print(f"error: {exc} ({hint})", file=sys.stderr)
+        print(f"error: {exc} ({CAP_HINTS[args.subcommand]})", file=sys.stderr)
         return 3
     except CtprouteError as exc:
         print(f"error: {exc}", file=sys.stderr)

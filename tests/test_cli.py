@@ -83,6 +83,24 @@ DEEP_DOC = json.dumps(
     }
 )
 
+# a 12-node ring, roads n_i-n_{i+1} of cost 1 + (i mod 3), with chords
+# n_i-n_{i+5} of cost 2.5 for i = 0..10: 23 roads, all at p = 0.3
+RING_DOC = json.dumps(
+    {
+        "nodes": [f"n{i}" for i in range(12)],
+        "edges": [
+            {"id": f"r{i}", "u": f"n{i}", "v": f"n{(i + 1) % 12}",
+             "cost": 1.0 + i % 3, "p": 0.3}
+            for i in range(12)
+        ]
+        + [
+            {"id": f"c{i}", "u": f"n{i}", "v": f"n{(i + 5) % 12}",
+             "cost": 2.5, "p": 0.3}
+            for i in range(11)
+        ],
+    }
+)
+
 
 def run(capsys, argv):
     rc = main(argv)
@@ -245,7 +263,8 @@ class TestRoute:
         )
         assert rc == 3
         assert "21 uncertain edges exceed the cap of 20" in err
-        assert "use --method mc" in err
+        assert "use simulate --policy replan" in err
+        assert "--method mc" not in err
 
     @pytest.mark.parametrize("subcommand", sorted(CAP_HINTS))
     def test_cap_hint_names_the_subcommands_own_flags(
@@ -261,7 +280,8 @@ class TestRoute:
             ],
         )
         assert rc == 3 and out == ""
-        assert err.rstrip().endswith(f"(use {CAP_HINTS[subcommand]})")
+        assert err.rstrip().endswith(f"({CAP_HINTS[subcommand]})")
+        assert "--method mc" not in err
 
     @pytest.mark.parametrize("subcommand", ["route", "centrality"])
     def test_mc_cap_refusal_does_not_repeat_its_own_flag(
@@ -294,10 +314,49 @@ class TestRoute:
 
     @pytest.mark.parametrize("subcommand", sorted(CAP_HINTS))
     def test_every_cap_hint_flag_is_accepted(self, subcommand):
-        flag, value = CAP_HINTS[subcommand].split()
+        hint = CAP_HINTS[subcommand]
+        if not hint.startswith("use "):
+            # a hint that names no command names no flag either
+            assert "--" not in hint
+            return
+        words = hint.split()[1:]
+        if words[0].startswith("--"):
+            words.insert(0, subcommand)
+        command, flag, value = words
         graph_flags = ["--graph", "g.json", "--source", "S", "--sink", "T"]
-        args = build_parser().parse_args([subcommand, *graph_flags, flag, value])
+        args = build_parser().parse_args([command, *graph_flags, flag, value])
+        assert args.subcommand == command
         assert getattr(args, flag[2:]) == value
+
+    def test_ring_refusals_hint_at_a_command_that_finishes(self, capsys, tmp_path):
+        # on this ring of 23 uncertain roads the exact planner refuses,
+        # while Monte Carlo of the optimal policy plans 19 undecided roads,
+        # one under the cap, at its first decision and does not finish
+        graph = tmp_path / "ring.json"
+        graph.write_text(RING_DOC, encoding="utf-8")
+        graph_flags = ["--graph", str(graph), "--source", "n0", "--sink", "n6"]
+        hints = {}
+        for subcommand in ("route", "centrality"):
+            rc, out, err = run(
+                capsys,
+                [subcommand, *graph_flags, "--output", str(tmp_path / "out")],
+            )
+            assert rc == 3 and out == ""
+            assert "--method mc" not in err
+            hints[subcommand] = err.rstrip().rsplit("(", 1)[1].rstrip(")")
+        assert hints["centrality"].startswith("no centrality method runs past the cap")
+        assert hints["route"] == "use simulate --policy replan"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "ctproute.cli", *hints["route"].split()[1:],
+                *graph_flags, "--reps", "1000", "--output", str(tmp_path / "sim"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["summary"]["replications"] == 1000
 
     def test_mc_handles_many_uncertain_edges(self, capsys, tmp_path):
         graph = tmp_path / "wide.json"
