@@ -62,6 +62,7 @@ class CbcResult:
     p_fail_open: float
     se_blocked: Optional[float] = None
     se_open: Optional[float] = None
+    se_cbc: Optional[float] = None
     replications: Optional[int] = None
 
 
@@ -100,13 +101,18 @@ def _validate_options(mode: str, method: str, failure_handling: str) -> None:
         )
 
 
+def _stderr(values: np.ndarray) -> float:
+    """Standard error of the mean of values, 0 for a single value."""
+    if values.size < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
 def _conditional_stats(dist) -> tuple[float, float]:
     ok = dist.times[~dist.failed]
     if ok.size == 0:
         return math.nan, 0.0
-    mean = float(np.mean(ok))
-    se = float(np.std(ok, ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else 0.0
-    return mean, se
+    return float(np.mean(ok)), _stderr(ok)
 
 
 def canadian_betweenness(
@@ -158,18 +164,17 @@ def canadian_betweenness(
             p_fail_open=opened.failure_probability,
         )
 
-    pair = simulate_blocked_and_open(
+    blocked, opened = simulate_blocked_and_open(
         net, cond, policy, source, sink, edge_id, replications,
         rng.derive_seed(seed, edge_id), failure_cost,
     )
-    stats = []
-    for dist in pair:
-        if failure_handling == "penalty":
-            stats.append((dist.mean, dist.stderr, dist.failure_frequency))
-        else:
-            mean, se = _conditional_stats(dist)
-            stats.append((mean, se, dist.failure_frequency))
-    (bv, bse, bf), (ov, ose, of) = stats
+    if failure_handling == "penalty":
+        (bv, bse), (ov, ose) = ((d.mean, d.stderr) for d in (blocked, opened))
+        se_cbc = _stderr(blocked.times - opened.times)
+    else:
+        (bv, bse), (ov, ose) = (_conditional_stats(d) for d in (blocked, opened))
+        # the two means average different replicates: no paired error
+        se_cbc = None
     return CbcResult(
         edge_id=edge_id,
         mode=mode,
@@ -177,10 +182,11 @@ def canadian_betweenness(
         e_t_blocked=bv,
         e_t_open=ov,
         cbc=bv - ov,
-        p_fail_blocked=bf,
-        p_fail_open=of,
+        p_fail_blocked=blocked.failure_frequency,
+        p_fail_open=opened.failure_frequency,
         se_blocked=bse,
         se_open=ose,
+        se_cbc=se_cbc,
         replications=replications,
     )
 
@@ -274,7 +280,7 @@ def geodesic_scores(net: RoadNetwork) -> dict[str, float]:
 
 CSV_HEADER = (
     "edge_id,mode,method,e_t_blocked,e_t_open,cbc,"
-    "p_fail_blocked,p_fail_open,se_blocked,se_open"
+    "p_fail_blocked,p_fail_open,se_blocked,se_open,se_cbc"
 )
 
 
@@ -283,8 +289,10 @@ def write_centrality_csv(
 ) -> str:
     """Render a CBC table as CSV, 12 significant digits, edge id order.
 
-    Standard error columns are empty for the exact method. When a
-    geodesic baseline map is supplied it is appended as a final column.
+    Standard error columns are empty for the exact method, and se_cbc,
+    the paired standard error of cbc, also under conditional failure
+    handling. When a geodesic baseline map is supplied it is appended as a
+    final column.
     """
     header = CSV_HEADER.split(",")
     if geodesic is not None:
@@ -302,6 +310,7 @@ def write_centrality_csv(
             fmt(row.p_fail_open),
             "" if row.se_blocked is None else fmt(row.se_blocked),
             "" if row.se_open is None else fmt(row.se_open),
+            "" if row.se_cbc is None else fmt(row.se_cbc),
         ]
         if geodesic is not None:
             if row.edge_id not in geodesic:

@@ -65,6 +65,7 @@ class TestExactCentrality:
         assert row.cbc == pytest.approx(2.0, abs=1e-12)
         assert row.p_fail_blocked == 0.0 and row.p_fail_open == 0.0
         assert row.se_blocked is None and row.se_open is None
+        assert row.se_cbc is None
 
     def test_tri_detour_edges_are_neutral_under_others_open(self):
         net, model = tri_fixture()
@@ -287,8 +288,14 @@ class TestMonteCarloCentrality:
                     )
                     if handling == "penalty":
                         want = [(d.mean, d.stderr) for d in runs]
+                        diff = runs[0].times - runs[1].times
+                        se_cbc = 0.0
+                        if reps > 1:
+                            se_cbc = float(np.std(diff, ddof=1) / math.sqrt(reps))
+                        assert row.se_cbc == se_cbc
                     else:
                         want = [_conditional_stats(d) for d in runs]
+                        assert row.se_cbc is None
                     got = [
                         (row.e_t_blocked, row.se_blocked),
                         (row.e_t_open, row.se_open),
@@ -468,10 +475,10 @@ class TestCsvRendering:
         table = canadian_betweenness_all(net, model, "S", "T", mode="others_open")
         expected = (
             "edge_id,mode,method,e_t_blocked,e_t_open,cbc,"
-            "p_fail_blocked,p_fail_open,se_blocked,se_open\n"
-            "a,others_open,exact,10,10,0,0,0,,\n"
-            "b,others_open,exact,10,10,0,0,0,,\n"
-            "d,others_open,exact,12,10,2,0,0,,\n"
+            "p_fail_blocked,p_fail_open,se_blocked,se_open,se_cbc\n"
+            "a,others_open,exact,10,10,0,0,0,,,\n"
+            "b,others_open,exact,10,10,0,0,0,,,\n"
+            "d,others_open,exact,12,10,2,0,0,,,\n"
         )
         assert write_centrality_csv(table) == expected
 
@@ -490,7 +497,15 @@ class TestCsvRendering:
         )
         for line in write_centrality_csv(table).splitlines()[1:]:
             fields = line.split(",")
-            assert fields[8] != "" and fields[9] != ""
+            assert fields[8] != "" and fields[9] != "" and fields[10] != ""
+        # conditional means average different replicates: no paired error
+        table = canadian_betweenness_all(
+            net, model, "S", "T", method="monte_carlo", replications=50, seed=0,
+            failure_handling="conditional",
+        )
+        for line in write_centrality_csv(table).splitlines()[1:]:
+            fields = line.split(",")
+            assert fields[8] != "" and fields[9] != "" and fields[10] == ""
 
     def test_missing_geodesic_score_rejected(self):
         net, model = tri_fixture()

@@ -473,10 +473,10 @@ class TestRoute:
 
 GOLDEN_CENTRALITY = (
     "edge_id,mode,method,e_t_blocked,e_t_open,cbc,"
-    "p_fail_blocked,p_fail_open,se_blocked,se_open\n"
-    "a,others_open,exact,10,10,0,0,0,,\n"
-    "b,others_open,exact,10,10,0,0,0,,\n"
-    "d,others_open,exact,12,10,2,0,0,,\n"
+    "p_fail_blocked,p_fail_open,se_blocked,se_open,se_cbc\n"
+    "a,others_open,exact,10,10,0,0,0,,,\n"
+    "b,others_open,exact,10,10,0,0,0,,,\n"
+    "d,others_open,exact,12,10,2,0,0,,,\n"
 )
 
 
@@ -513,8 +513,8 @@ class TestCentrality:
         assert rc == 0
         lines = dest.read_text(encoding="utf-8").splitlines()
         assert lines[0].endswith(",geodesic")
-        assert lines[1] == "a,others_open,exact,10,10,0,0,0,,,1"
-        assert lines[3] == "d,others_open,exact,12,10,2,0,0,,,1"
+        assert lines[1] == "a,others_open,exact,10,10,0,0,0,,,,1"
+        assert lines[3] == "d,others_open,exact,12,10,2,0,0,,,,1"
 
     def test_requires_output(self, capsys, tri_graph):
         rc, _, err = run(
