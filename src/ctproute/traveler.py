@@ -867,7 +867,8 @@ def simulate_blocked_and_open(
     that ends before the edge is revealed counts for both runs.
     """
     failure_cost = _checked_run(net, model, source, sink, replications, failure_cost)
-    checked_overrides(model, {edge_id: EdgeState.BLOCKED})
+    if edge_id not in net.edge_bit:
+        raise UnknownEdge(f"unknown edge {edge_id!r}")
     bit = 1 << net.edge_bit[edge_id]
     start = _start(net, source)
     b_times, o_times = np.empty(replications), np.empty(replications)

@@ -31,6 +31,7 @@ from ctproute.fixtures import tb_fixture, tri_fixture
 from ctproute.traveler import (
     OptimalPolicy,
     Policy,
+    ReplanGreedyPolicy,
     default_failure_cost,
     simulate_blocked_and_open,
     simulate_policy,
@@ -357,6 +358,10 @@ class TestOptionValidation:
         net, model = tri_fixture()
         with pytest.raises(UnknownEdge):
             canadian_betweenness(net, model, "S", "T", "ghost")
+        with pytest.raises(UnknownEdge):
+            simulate_blocked_and_open(
+                net, model, ReplanGreedyPolicy(net, "T"), "S", "T", "ghost", 5, 0
+            )
         with pytest.raises(ValidationError, match="must differ"):
             canadian_betweenness(net, model, "S", "S", "d")
 
