@@ -4,9 +4,10 @@
 Builds one workload's operations with the benchmark's generator, runs each
 through its CLI runner and prints one JSON (kind, sha256, problems) line per
 operation. Two checkouts that give the same rows print the same bytes for
-every operation; run both from the same checkout path with the same
---workdir, since some outputs name the files they wrote. Exits 1 when any
-operation reports problems, after printing every line.
+every operation; give both the same absolute --workdir, since some
+outputs name the files they wrote. The checkouts may sit at different
+paths. Exits 1 when any operation reports problems, after printing every
+line.
 
 Usage (from a checkout root):
     python3 scripts/output_digests.py grid-exact [--seed 7] [--workdir DIR]

@@ -230,14 +230,22 @@ def sample_realization(
     return world
 
 
+def csv_table(text: str) -> tuple[list[str], list[list[str]]]:
+    """(header, rows) of a CSV text: the first non-empty row with its
+    cells stripped, then the non-empty rows after it."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    if not rows:
+        return [], []
+    return [c.strip() for c in rows[0]], rows[1:]
+
+
 def read_probabilities_csv(text: str) -> dict[str, float]:
     """Parse `edge_id,p` rows into an ordered probability map."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or [c.strip() for c in rows[0]] != ["edge_id", "p"]:
+    header, rows = csv_table(text)
+    if header != ["edge_id", "p"]:
         raise ParseError("probabilities CSV must have header edge_id,p")
     out: dict[str, float] = {}
-    for row in rows[1:]:
+    for row in rows:
         if len(row) != 2:
             raise ParseError(f"bad probabilities row: {row}")
         edge_id, raw = row[0].strip(), row[1].strip()
@@ -253,17 +261,15 @@ def read_probabilities_csv(text: str) -> dict[str, float]:
 
 def read_covariates_csv(text: str) -> CovariateMatrix:
     """Parse `edge_id,<name1>,...,<namek>` rows into a CovariateMatrix."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows:
+    header, rows = csv_table(text)
+    if not header:
         raise ParseError("covariates CSV is empty")
-    header = [c.strip() for c in rows[0]]
-    if not header or header[0] != "edge_id" or len(header) < 2:
+    if header[0] != "edge_id" or len(header) < 2:
         raise ParseError("covariates CSV must have header edge_id,<name1>,...")
     columns = tuple(header[1:])
     edge_ids: list[str] = []
     values: list[list[float]] = []
-    for row in rows[1:]:
+    for row in rows:
         if len(row) != len(header):
             raise ParseError(f"covariates row has {len(row)} fields, want {len(header)}")
         edge_ids.append(row[0].strip())

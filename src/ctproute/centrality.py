@@ -43,6 +43,7 @@ from .traveler import (
     checked_failure_cost,
     evaluate_policy_exact,
     simulate_blocked_and_open,
+    standard_error,
 )
 
 MODES = ("others_stochastic", "others_open")
@@ -101,18 +102,11 @@ def _validate_options(mode: str, method: str, failure_handling: str) -> None:
         )
 
 
-def _stderr(values: np.ndarray) -> float:
-    """Standard error of the mean of values, 0 for a single value."""
-    if values.size < 2:
-        return 0.0
-    return float(np.std(values, ddof=1) / math.sqrt(values.size))
-
-
 def _conditional_stats(dist) -> tuple[float, float]:
     ok = dist.times[~dist.failed]
     if ok.size == 0:
         return math.nan, 0.0
-    return float(np.mean(ok)), _stderr(ok)
+    return float(np.mean(ok)), standard_error(ok)
 
 
 def canadian_betweenness(
@@ -170,7 +164,7 @@ def canadian_betweenness(
     )
     if failure_handling == "penalty":
         (bv, bse), (ov, ose) = ((d.mean, d.stderr) for d in (blocked, opened))
-        se_cbc = _stderr(blocked.times - opened.times)
+        se_cbc = standard_error(blocked.times - opened.times)
     else:
         (bv, bse), (ov, ose) = (_conditional_stats(d) for d in (blocked, opened))
         # the two means average different replicates: no paired error

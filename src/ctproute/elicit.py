@@ -19,8 +19,6 @@ weight, which mixes the experts instead of averaging them away.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .blockage import CovariateMatrix, expit
+from .blockage import CovariateMatrix, csv_table, expit
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -285,12 +283,11 @@ def pushforward_probabilities(
 
 def read_expert_draws_csv(text: str) -> dict[str, dict[str, float]]:
     """Parse `draw_id,edge_id,p` rows, grouped by draw in file order."""
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
-    if not rows or [c.strip() for c in rows[0]] != ["draw_id", "edge_id", "p"]:
+    header, rows = csv_table(text)
+    if header != ["draw_id", "edge_id", "p"]:
         raise ParseError("expert draws CSV must have header draw_id,edge_id,p")
     out: dict[str, dict[str, float]] = {}
-    for row in rows[1:]:
+    for row in rows:
         if len(row) != 3:
             raise ParseError(f"bad expert draws row: {row}")
         draw_id, edge_id = row[0].strip(), row[1].strip()
@@ -313,9 +310,9 @@ def read_expert_draws_csv(text: str) -> dict[str, dict[str, float]]:
 
 
 def expert_csv_form(text: str) -> str:
-    """Detect whether an expert CSV is point or draws form by header."""
-    first = text.lstrip().splitlines()[0] if text.strip() else ""
-    header = [c.strip() for c in first.split(",")]
+    """Detect whether an expert CSV is point or draws form by header,
+    read as the readers of both forms read it."""
+    header, _ = csv_table(text)
     if header == ["edge_id", "p"]:
         return "point"
     if header == ["draw_id", "edge_id", "p"]:

@@ -9,14 +9,15 @@ is added on top of the travel already spent. That convention is used
 consistently by the exact recursion, the exact policy evaluator, and the
 Monte Carlo simulator, so their expectations are directly comparable.
 
-A belief is (node name, known mask, blocked mask): edge b is bit b of a
-mask (net.edge_bit), known holds the edges observed so far and blocked
-those of them observed blocked. The planner, the policies, the walk and
-the exact evaluator all key on it and read graph structure from the
-network's cached tables. The knowledge holds observations only; the
-planner folds the edges of probability 0 or 1 in when it plans, with
-observations winning, so policies that do not plan never act on a model
-certainty.
+A belief, KnowledgeState, is the tuple (node name, known mask, blocked
+mask): edge b is bit b of a mask (net.edge_bit), known holds the edges
+observed so far and blocked those of them observed blocked. The planner,
+the policies, the walk and the exact evaluator all key on it and read
+graph structure from the network's cached tables; a walk reads its world
+once, into the mask of the world's blocked edges, and then carries masks
+only. The knowledge holds observations only; the planner folds the edges
+of probability 0 or 1 in when it plans, with observations winning, so
+policies that do not plan never act on a model certainty.
 
 From a belief the planner either travels to the sink over known open
 edges or travels to a frontier node and takes the expectation over the
@@ -37,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -86,45 +87,42 @@ def checked_failure_cost(net: RoadNetwork, failure_cost: Optional[float]) -> flo
     return failure_cost
 
 
-@dataclass(frozen=True)
-class KnowledgeState:
+class KnowledgeState(NamedTuple):
     """What the traveler has observed: its position and two edge masks.
 
     Edge b is bit b of net.edges (net.edge_bit). `known` holds the bits of
     the edges observed so far, `blocked` those of them observed blocked.
+    It equals the plain (current, known, blocked) tuple, so a belief is its
+    own memo key.
     """
 
-    net: RoadNetwork
     current: str
     known: int
     blocked: int
 
-    def state(self, edge_id: str) -> EdgeState:
-        b = self.net.edge_bit.get(edge_id)
+    def state(self, net: RoadNetwork, edge_id: str) -> EdgeState:
+        b = net.edge_bit.get(edge_id)
         if b is None:
             raise UnknownEdge(f"knowledge has no edge {edge_id!r}")
         if not self.known >> b & 1:
             return EdgeState.UNKNOWN
         return EdgeState.BLOCKED if self.blocked >> b & 1 else EdgeState.OPEN
 
-    def moved_to(self, node: str) -> "KnowledgeState":
-        self.net.require_node(node)
-        return KnowledgeState(self.net, node, self.known, self.blocked)
-
 
 def fresh_knowledge(net: RoadNetwork, start: str) -> KnowledgeState:
     """Pre reveal state: every edge unknown."""
     net.require_node(start)
-    return KnowledgeState(net, start, 0, 0)
+    return KnowledgeState(start, 0, 0)
 
 
-def reveal(k: KnowledgeState, node: str, world: Realization) -> KnowledgeState:
+def reveal(
+    net: RoadNetwork, k: KnowledgeState, node: str, world: Realization
+) -> KnowledgeState:
     """Set node's undecided incident edges from world.
 
     Idempotent: re revealing a node changes nothing, and already decided
     edges are never rewritten.
     """
-    net = k.net
     net.require_node(node)
     known, blocked = k.known, k.blocked
     for e in net.incident[node]:
@@ -133,7 +131,7 @@ def reveal(k: KnowledgeState, node: str, world: Realization) -> KnowledgeState:
             known |= bit
             if world.state(e.id) is EdgeState.BLOCKED:
                 blocked |= bit
-    return KnowledgeState(net, k.current, known, blocked)
+    return KnowledgeState(k.current, known, blocked)
 
 
 @dataclass(frozen=True)
@@ -452,18 +450,17 @@ _MISS = object()  # a decision memo's miss, told apart from a cached None
 
 def _memoized(decide: Callable) -> Callable:
     """Memoize a concrete policy's decide in its one dict, self._memo,
-    keyed on (current, known, blocked); each class still owns its decide.
+    keyed on the belief itself; each class still owns its decide.
     A traveler at the sink has no decision to make, so every policy
     refuses it alike."""
 
     @functools.wraps(decide)
     def memoized(self, k: KnowledgeState) -> Optional[str]:
-        key = (k.current, k.known, k.blocked)
-        hit = self._memo.get(key, _MISS)
+        hit = self._memo.get(k, _MISS)
         if hit is _MISS:  # None, an abort, is a cached decision
             if k.current == self.sink:
                 raise ValidationError("traveler is already at the sink")
-            hit = self._memo[key] = decide(self, k)
+            hit = self._memo[k] = decide(self, k)
         return hit
 
     return memoized
@@ -648,13 +645,14 @@ def walk_policy(
     Pure function of (world, policy): replicate r of a simulation can be
     reproduced in isolation by sampling world r and calling this.
 
-    The world's blocked entries, picked out in C, are read into one mask,
-    closed, up front; world edges outside the network are ignored. Every
-    known edge was revealed from this world, so an arrival ORs the node's
-    incident mask into known and the blocked mask is known & closed, what
-    reveal() gives. Only a world that lacks a network edge is read edge by
-    edge, into unseen, and that edge raises UnknownEdge when an arrival
-    first reveals it, as reveal() does.
+    The walk reads masks only. The world's blocked entries, picked out in
+    C, become one mask, closed, up front; world edges outside the network
+    are ignored. Every known edge was revealed from this world, so an
+    arrival ORs the node's incident mask into known and the blocked mask
+    is known & closed, what reveal() gives. A world that lacks a network
+    edge stops the walk at the first arrival that reveals one, and the
+    lowest such bit, the first in incident order, raises reveal()'s
+    UnknownEdge.
 
     Centrality's pairs run the same loop (simulate_blocked_and_open): one
     world per pair, walked once up to the first arrival that reveals the
@@ -663,16 +661,23 @@ def walk_policy(
     """
     net.require_node(source)
     net.require_node(sink)
-    closed, unseen = _world_masks(net, world)
-    return _walk(
-        net, world, closed, unseen, policy, sink, failure_cost,
-        _start(net, source), [source], 0,
+    bit, states = net.edge_bit, world.states
+    unseen = 0
+    if not states.keys() >= bit.keys():
+        unseen = ~sum(1 << b for b in map(bit.get, states) if b is not None)
+    at = _walk(
+        net, _closed_mask(net, world), policy, sink, failure_cost,
+        _start(net, source), [source], unseen,
     )
+    if isinstance(at, ReplicateOutcome):
+        return at
+    lacking = at[1] & unseen
+    edge_id = net.edges[(lacking & -lacking).bit_length() - 1].id
+    raise UnknownEdge(f"realization has no edge {edge_id!r}")
 
 
-def _world_masks(net: RoadNetwork, world: Realization) -> tuple[int, int]:
-    """(closed, unseen): the world's blocked network edges, and the
-    complement of the network edges it holds, or 0 when it holds them all."""
+def _closed_mask(net: RoadNetwork, world: Realization) -> int:
+    """The mask of the world's blocked network edges."""
     bit, states = net.edge_bit, world.states
     closed = 0
     for edge_id in itertools.compress(
@@ -681,10 +686,7 @@ def _world_masks(net: RoadNetwork, world: Realization) -> tuple[int, int]:
         b = bit.get(edge_id)
         if b is not None:
             closed |= 1 << b
-    unseen = 0
-    if not states.keys() >= bit.keys():
-        unseen = ~sum(1 << b for b in map(bit.get, states) if b is not None)
-    return closed, unseen
+    return closed
 
 
 def _start(net: RoadNetwork, source: str) -> tuple[str, int, float, int]:
@@ -696,9 +698,7 @@ def _start(net: RoadNetwork, source: str) -> tuple[str, int, float, int]:
 
 def _walk(
     net: RoadNetwork,
-    world: Realization,
     closed: int,
-    unseen: int,
     policy: Policy,
     sink: str,
     failure_cost: float,
@@ -706,22 +706,19 @@ def _walk(
     path: list[str],
     stop: int,
 ) -> ReplicateOutcome | tuple[str, int, float, int]:
-    """Walk on from position `at` (see _start), appending each node to
-    path, which ends at `at`'s node. Returns the ReplicateOutcome, or the
-    position where known first meets the mask stop, before the traveler
-    there decides: a copy of the walk can go on from it in a world that
-    differs only on stop."""
+    """Walk on from position `at` (see _start) in the world whose blocked
+    edges are closed, appending each node to path, which ends at `at`'s
+    node. Returns the ReplicateOutcome, or the position where known first
+    meets the mask stop, before the traveler there decides: a copy of the
+    walk can go on from it in a world that differs only on stop."""
     current, known, time, steps = at
     incident = net.incident_mask
-    watch = unseen | stop
     for left in range(steps, 0, -1):
-        if known & watch:
-            if known & unseen:
-                _lacking_edge(net, world, known & unseen)
+        if known & stop:
             return current, known, time, left
         if current == sink:
             return ReplicateOutcome(time, False, tuple(path))
-        k = KnowledgeState(net, current, known, known & closed)
+        k = KnowledgeState(current, known, known & closed)
         edge_id = policy.decide(k)
         if edge_id is None:
             return ReplicateOutcome(time + failure_cost, True, tuple(path))
@@ -730,15 +727,14 @@ def _walk(
         time += edge.cost
         known |= incident[current]
         path.append(current)
-    if known & unseen:
-        _lacking_edge(net, world, known & unseen)
     raise RuntimeError("policy failed to terminate; this is a bug")
 
 
-def _lacking_edge(net: RoadNetwork, world: Realization, lacking: int) -> None:
-    """Raise reveal()'s UnknownEdge for the lowest bit of lacking, the
-    first such edge in incident order."""
-    world.state(net.edges[(lacking & -lacking).bit_length() - 1].id)
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of values, 0 for a single value."""
+    if values.size < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
 @dataclass(frozen=True)
@@ -768,9 +764,7 @@ class TravelTimeDistribution:
 
     @property
     def stderr(self) -> float:
-        if self.replications < 2:
-            return 0.0
-        return float(np.std(self.times, ddof=1) / math.sqrt(self.replications))
+        return standard_error(self.times)
 
     @property
     def failure_frequency(self) -> float:
@@ -875,23 +869,17 @@ def simulate_blocked_and_open(
     b_failed = np.empty(replications, dtype=bool)
     o_failed = np.empty(replications, dtype=bool)
     for r in range(replications):
-        world = sample_realization(model, seed, stream=r)
-        closed, unseen = _world_masks(net, world)
-        closed &= ~bit
+        # a world of a validated model holds every network edge
+        closed = _closed_mask(net, sample_realization(model, seed, stream=r)) & ~bit
         path = [source]
-        at = _walk(
-            net, world, closed, unseen, policy, sink, failure_cost, start, path, bit
-        )
+        at = _walk(net, closed, policy, sink, failure_cost, start, path, bit)
         if isinstance(at, ReplicateOutcome):
             blocked = opened = at
         else:
             blocked = _walk(
-                net, world, closed | bit, unseen, policy, sink, failure_cost,
-                at, list(path), 0,
+                net, closed | bit, policy, sink, failure_cost, at, list(path), 0
             )
-            opened = _walk(
-                net, world, closed, unseen, policy, sink, failure_cost, at, path, 0
-            )
+            opened = _walk(net, closed, policy, sink, failure_cost, at, path, 0)
         b_times[r], b_failed[r] = blocked.travel_time, blocked.failed
         o_times[r], o_failed[r] = opened.travel_time, opened.failed
 
@@ -925,34 +913,47 @@ def evaluate_policy_exact(
     failure_cost = checked_failure_cost(net, failure_cost)
     inst = _compile(net, model, sink, overrides)
     _check_cap(inst, source, 0, inst.blocked)
-    memo: dict[tuple[str, int, int], tuple[float, float]] = {}
-    active: set = set()
+    memo: dict[KnowledgeState, tuple[float, float]] = {}
+    active: set[KnowledgeState] = set()
+    incident = net.incident_mask
 
     def visit(node: str, known: int, blocked: int) -> tuple[float, float]:
-        if node == inst.sink:
-            return 0.0, 0.0
-        key = (node, known, blocked)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if key in active:
-            raise ValidationError(
-                "policy revisits a knowledge state without new information"
-            )
-        active.add(key)
-        try:
-            k = KnowledgeState(net, node, known, blocked)
+        # a move whose reveal has one outcome passes its child's value on
+        # unchanged, so a stretch of such moves is followed in a loop, not
+        # by recursion, and its costs are added back in the recursion's order
+        stretch: list[tuple[KnowledgeState, float]] = []
+        while True:
+            if node == inst.sink:
+                result = (0.0, 0.0)
+                break
+            k = KnowledgeState(node, known, blocked)
+            result = memo.get(k)
+            if result is not None:
+                break
+            if k in active:
+                raise ValidationError(
+                    "policy revisits a knowledge state without new information"
+                )
+            active.add(k)
             edge_id = policy.decide(k)
             if edge_id is None:
                 result = (failure_cost, 1.0)
             else:
                 edge = _checked_step(net, k, edge_id)
-                nxt = edge.other(node)
-                v, f = _reveal_expectation(inst, nxt, known, blocked, visit)
+                node = edge.other(node)
+                rest = incident[node] & ~known
+                if not rest & inst.uncertain:
+                    stretch.append((k, edge.cost))
+                    known, blocked = known | rest, blocked | rest & inst.blocked
+                    continue
+                v, f = _reveal_expectation(inst, node, known, blocked, visit)
                 result = (edge.cost + v, f)
-        finally:
-            active.discard(key)
-        memo[key] = result
+            active.discard(k)
+            memo[k] = result
+            break
+        for k, cost in reversed(stretch):
+            active.discard(k)
+            result = memo[k] = (cost + result[0], result[1])
         return result
 
     value, fail = _reveal_expectation(inst, source, 0, 0, visit)

@@ -33,6 +33,7 @@ from ctproute.network import (
     reachable_nodes,
 )
 from ctproute.errors import UnknownEdge, ValidationError
+from ctproute import traveler
 from ctproute.traveler import (
     KnowledgeState,
     ReplicateOutcome,
@@ -187,7 +188,7 @@ class ReferencePlanner:
 
     def action(self, knowledge: KnowledgeState) -> Optional[str]:
         """Best target from a knowledge state of the planner's network."""
-        observed = {e.id: knowledge.state(e.id) for e in self.net.edges}
+        observed = {e.id: knowledge.state(self.net, e.id) for e in self.net.edges}
         return self.value(knowledge.current, self.base_assignment(observed))[2]
 
     def value(self, current: str, assignment: dict) -> tuple:
@@ -263,7 +264,7 @@ def reference_walk(
     reveal() and checking every chosen edge by Edge equality."""
     net.require_node(source)
     net.require_node(sink)
-    k = reveal(fresh_knowledge(net, source), source, world)
+    k = reveal(net, fresh_knowledge(net, source), source, world)
     time = 0.0
     path = [source]
     max_steps = 4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16
@@ -280,13 +281,13 @@ def reference_walk(
             raise ValidationError(
                 f"policy chose edge {edge_id!r} not leaving {k.current!r}"
             )
-        if k.state(edge_id) is not EdgeState.OPEN:
+        if k.state(net, edge_id) is not EdgeState.OPEN:
             raise ValidationError(
                 f"policy tried to traverse edge {edge_id!r} not known open"
             )
         nxt = edge.other(k.current)
         time += edge.cost
-        k = reveal(k.moved_to(nxt), nxt, world)
+        k = reveal(net, k._replace(current=nxt), nxt, world)
         path.append(nxt)
     raise RuntimeError("policy failed to terminate; this is a bug")
 
@@ -342,6 +343,40 @@ def policy_value_by_enumeration(
         if outcome.failed:
             fail += weight
     return total, fail
+
+
+def recursive_policy_value(
+    net: RoadNetwork,
+    model: BlockageModel,
+    policy,
+    source: str,
+    sink: str,
+    failure_cost: float,
+    overrides: dict | None = None,
+) -> tuple[float, float]:
+    """evaluate_policy_exact as it was written before it followed moves
+    that reveal one outcome in a loop: one recursion level per move, with
+    the package's compile and reveal enumeration, so it keeps the float
+    order and the package must match it bit for bit."""
+    inst = traveler._compile(net, model, sink, overrides)
+    memo: dict = {}
+
+    def visit(node: str, known: int, blocked: int) -> tuple[float, float]:
+        if node == sink:
+            return 0.0, 0.0
+        k = KnowledgeState(node, known, blocked)
+        if k not in memo:
+            edge_id = policy.decide(k)
+            if edge_id is None:
+                memo[k] = (failure_cost, 1.0)
+            else:
+                edge = net.edge_by_id[edge_id]
+                nxt = edge.other(node)
+                v, f = traveler._reveal_expectation(inst, nxt, known, blocked, visit)
+                memo[k] = (edge.cost + v, f)
+        return memo[k]
+
+    return traveler._reveal_expectation(inst, source, 0, 0, visit)
 
 
 def clairvoyant_value(

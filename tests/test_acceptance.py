@@ -85,6 +85,7 @@ def test_fixture_values_exact():
     # documented tie-break: equal-value targets go to the smaller node id
     net, model = tb_fixture(0.5)
     k = reveal(
+        net,
         fresh_knowledge(net, "S"),
         "S",
         oracles.Realization(

@@ -481,6 +481,31 @@ GOLDEN_CENTRALITY = (
 
 
 class TestCentrality:
+    def test_exact_on_a_path_longer_than_the_recursion_limit(self, capsys, tmp_path):
+        # the exact evaluator once took two stack frames per move, and a
+        # walk of 599 moves exceeded Python's recursion limit
+        n = 600
+        doc = {
+            "nodes": [f"n{i}" for i in range(n)],
+            "edges": [
+                {"id": f"e{i}", "u": f"n{i}", "v": f"n{i + 1}", "cost": 1.0,
+                 "p": 0.5 if i == 0 else 0.0}
+                for i in range(n - 1)
+            ],
+        }
+        graph, dest = tmp_path / "path.json", tmp_path / "cbc.csv"
+        graph.write_text(json.dumps(doc), encoding="utf-8")
+        rc, _, err = run(
+            capsys,
+            [
+                "centrality", "--graph", str(graph), "--source", "n0",
+                "--sink", f"n{n - 1}", "--output", str(dest),
+            ],
+        )
+        assert rc == 0, err
+        first = next(csv.DictReader(dest.read_text(encoding="utf-8").splitlines()))
+        assert (first["edge_id"], float(first["cbc"])) == ("e0", n - 1)
+
     def test_exact_golden_csv(self, capsys, tri_graph, tmp_path):
         dest = tmp_path / "cbc.csv"
         rc, out, _ = run(
@@ -760,6 +785,22 @@ class TestElicit:
             assert a[key] == b[key], key
         assert a["config"]["expert_form"] == "point"
         assert b["config"]["expert_form"] == "draws"
+
+    @pytest.mark.parametrize(
+        "header", ['"edge_id","p"', '"draw_id","edge_id","p"']
+    )
+    def test_quoted_header_gives_the_prior_of_the_plain_one(
+        self, capsys, tmp_path, header
+    ):
+        draw = "d1," if header.startswith('"draw_id"') else ""
+        body = f"{draw}e1,0.3\n{draw}e2,0.6\n"
+        outs = []
+        for first in (header, header.replace('"', "")):
+            cov, exp = self.write(tmp_path, expert=f"{first}\n{body}")
+            rc, out, err = run(capsys, ["elicit", "--covariates", cov, "--expert", exp])
+            assert rc == 0, err
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_point_pushforward_roundtrips_noiseless_fit(self, capsys, tmp_path):
         # a saturated one column fit reproduces the stated probability

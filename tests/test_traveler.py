@@ -57,43 +57,43 @@ class TestKnowledge:
         k = fresh_knowledge(net, "S")
         assert k.current == "S"
         assert (k.known, k.blocked) == (0, 0)
-        assert all(k.state(e.id) is EdgeState.UNKNOWN for e in net.edges)
+        assert all(k.state(net, e.id) is EdgeState.UNKNOWN for e in net.edges)
 
     def test_reveal_decides_exactly_the_incident_edges(self):
         net, _ = tri_fixture()
         world = tri_world(d=EdgeState.BLOCKED)
-        k = reveal(fresh_knowledge(net, "S"), "S", world)
-        assert k.state("d") is EdgeState.BLOCKED
-        assert k.state("a") is EdgeState.OPEN
-        assert k.state("b") is EdgeState.UNKNOWN
+        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
+        assert k.state(net, "d") is EdgeState.BLOCKED
+        assert k.state(net, "a") is EdgeState.OPEN
+        assert k.state(net, "b") is EdgeState.UNKNOWN
 
     def test_arrival_at_next_node_reveals_its_edges(self):
         net, _ = tri_fixture()
         world = tri_world()
-        k = reveal(fresh_knowledge(net, "S"), "S", world)
-        k = reveal(k.moved_to("M"), "M", world)
+        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
+        k = reveal(net, k._replace(current="M"), "M", world)
         assert k.current == "M"
-        assert k.state("b") is EdgeState.OPEN
+        assert k.state(net, "b") is EdgeState.OPEN
 
     def test_reveal_is_idempotent(self):
         net, _ = tri_fixture()
         world = tri_world(d=EdgeState.BLOCKED)
-        once = reveal(fresh_knowledge(net, "S"), "S", world)
-        twice = reveal(once, "S", world)
+        once = reveal(net, fresh_knowledge(net, "S"), "S", world)
+        twice = reveal(net, once, "S", world)
         assert twice == once
 
     def test_reveal_never_rewrites_a_decided_edge(self):
         net, _ = tri_fixture()
-        k = reveal(fresh_knowledge(net, "S"), "S", tri_world())
-        assert k.state("d") is EdgeState.OPEN
+        k = reveal(net, fresh_knowledge(net, "S"), "S", tri_world())
+        assert k.state(net, "d") is EdgeState.OPEN
         contradicting = tri_world(d=EdgeState.BLOCKED)
-        again = reveal(k, "S", contradicting)
-        assert again.state("d") is EdgeState.OPEN
+        again = reveal(net, k, "S", contradicting)
+        assert again.state(net, "d") is EdgeState.OPEN
 
     def test_unknown_edge_lookup_raises(self):
         net, _ = tri_fixture()
         with pytest.raises(UnknownEdge):
-            fresh_knowledge(net, "S").state("ghost")
+            fresh_knowledge(net, "S").state(net, "ghost")
 
 
 def _certain_road_beside_uncertain_chain(behind):
@@ -197,6 +197,7 @@ class TestOptimalAction:
     def test_tb_initial_move_targets_the_gamble(self):
         net, model = tb_fixture(0.25)
         k = reveal(
+            net,
             fresh_knowledge(net, "S"),
             "S",
             oracles.Realization(
@@ -218,13 +219,14 @@ class TestOptimalAction:
                 "st": EdgeState.OPEN,
             }
         )
-        k = reveal(fresh_knowledge(net, "S"), "S", world)
-        k = reveal(k.moved_to("A"), "A", world)
+        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
+        k = reveal(net, k._replace(current="A"), "A", world)
         assert optimal_action(net, model, k, "T") == "T"
 
     def test_tie_breaks_toward_lexicographically_smaller_target(self):
         net, model = tb_fixture(0.5)
         k = reveal(
+            net,
             fresh_knowledge(net, "S"),
             "S",
             oracles.Realization(
@@ -249,11 +251,11 @@ class TestOptimalAction:
         net, model = tri_fixture()
         override_model = make_model(d=0.0, a=0.0, b=0.0)
         world = tri_world(d=EdgeState.BLOCKED)
-        k = reveal(fresh_knowledge(net, "S"), "S", world)
+        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
         assert optimal_action(net, override_model, k, "T") == "T"
         # with the detour also observed blocked, failure is certain
         worse = tri_world(d=EdgeState.BLOCKED, a=EdgeState.BLOCKED)
-        k2 = reveal(fresh_knowledge(net, "S"), "S", worse)
+        k2 = reveal(net, fresh_knowledge(net, "S"), "S", worse)
         assert optimal_action(net, override_model, k2, "T") is None
 
     def test_at_sink_rejected(self):
@@ -458,7 +460,7 @@ class TestPolicies:
     @pytest.mark.parametrize("kind", ["optimal", "replan", "route", "optimal_action"])
     def test_every_decision_refuses_a_traveler_off_the_network(self, kind):
         net, model = tri_fixture()
-        k = KnowledgeState(net, "Z", 0, 0)
+        k = KnowledgeState("Z", 0, 0)
         with pytest.raises(UnknownNode, match="'Z'"):
             if kind == "optimal_action":
                 optimal_action(net, model, k, "T")
@@ -477,7 +479,7 @@ class TestPolicies:
 
         monkeypatch.setattr(traveler, "shortest_path", counting)
         policy = ReplanGreedyPolicy(net, "T")
-        k = KnowledgeState(net, "S", 1, 0)
+        k = KnowledgeState("S", 1, 0)
         assert policy.decide(k) is None
         assert policy.decide(k) is None
         assert len(calls) == 1
@@ -553,6 +555,68 @@ class TestExactPolicyEvaluation:
             assert got.failure_probability == pytest.approx(want_f, abs=1e-9)
             checked += 1
         assert checked >= 5
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_the_recursive_evaluator_bit_for_bit(self, seed):
+        # few uncertain roads among many certain ones, with fractional
+        # costs: long stretches of moves that reveal one outcome, whose
+        # costs the loop must add in the recursion's order
+        net, model, source, sink = oracles.random_instance(
+            seed, max_nodes=10, max_uncertain=3
+        )
+        fc = default_failure_cost(net)
+        policies = [OptimalPolicy(net, model, sink, fc), ReplanGreedyPolicy(net, sink)]
+        path = shortest_path(net, source, sink)
+        if path is not None:
+            policies.append(FixedRoutePolicy(net, sink, path.nodes))
+        conditions = [None] + [
+            {edge: state}
+            for edge in model.uncertain_edges()[:1]
+            for state in (EdgeState.BLOCKED, EdgeState.OPEN)
+        ]
+        for policy in policies:
+            for overrides in conditions:
+                got = evaluate_policy_exact(
+                    net, model, policy, source, sink, fc, overrides=overrides
+                )
+                want = oracles.recursive_policy_value(
+                    net, model, policy, source, sink, fc, overrides=overrides
+                )
+                assert (got.value, got.failure_probability) == want
+
+    def test_a_walk_longer_than_the_recursion_limit(self):
+        # a 2,000-node path whose one uncertain road leaves the source:
+        # each later move reveals one certain road, far more moves than
+        # the recursion limit allows frames
+        n = 2000
+        nodes = [f"n{i}" for i in range(n)]
+        net = make_network(
+            [(f"e{i}", u, v, 1.0) for i, (u, v) in enumerate(zip(nodes, nodes[1:]))]
+        )
+        model = BlockageModel({e.id: 0.5 if e.id == "e0" else 0.0 for e in net.edges})
+        policy = FixedRoutePolicy(net, nodes[-1], nodes)
+        blocked, opened = (
+            evaluate_policy_exact(
+                net, model, policy, "n0", nodes[-1], overrides={"e0": state}
+            )
+            for state in (EdgeState.BLOCKED, EdgeState.OPEN)
+        )
+        # blocked, the traveler aborts at the source and pays the default
+        # failure cost, twice the n - 1 road costs, so cbc is n - 1
+        assert (blocked.value, opened.value) == (2.0 * (n - 1), n - 1.0)
+        assert blocked.value - opened.value == n - 1
+
+    def test_a_policy_that_loops_without_news_is_refused(self):
+        # all roads certain: S -> M reveals b, then S and M repeat
+        net, _ = tri_fixture()
+        model = make_model(d=0.0, a=0.0, b=0.0)
+
+        class PingPong(Policy):
+            def decide(self, k):
+                return "a"
+
+        with pytest.raises(ValidationError, match="revisits a knowledge state"):
+            evaluate_policy_exact(net, model, PingPong(), "S", "T")
 
     def test_source_equal_sink_rejected(self):
         net, model = tri_fixture()
@@ -706,17 +770,17 @@ def test_knowledge_grows_monotonically_and_matches_the_world(
     for k in recorder.snapshots:
         # every visited node is the current node of some snapshot
         for e in net.incident[k.current]:
-            assert k.state(e.id) is not EdgeState.UNKNOWN
+            assert k.state(net, e.id) is not EdgeState.UNKNOWN
         for edge_id, state in previous.items():
-            assert k.state(edge_id) is state  # never reverts or flips
+            assert k.state(net, edge_id) is state  # never reverts or flips
         for e in net.edges:
-            s = k.state(e.id)
+            s = k.state(net, e.id)
             if s is not EdgeState.UNKNOWN:
                 assert s is world.state(e.id)
         previous = {
-            e.id: k.state(e.id)
+            e.id: k.state(net, e.id)
             for e in net.edges
-            if k.state(e.id) is not EdgeState.UNKNOWN
+            if k.state(net, e.id) is not EdgeState.UNKNOWN
         }
 
 
@@ -768,11 +832,11 @@ def test_fixed_route_follows_the_route_until_a_hop_is_known_blocked(
 
     def hop_known_blocked(k, a, b):
         joining = [e for e in net.outgoing[a] if e.other(a) == b]
-        return all(k.state(e.id) is EdgeState.BLOCKED for e in joining)
+        return all(k.state(net, e.id) is EdgeState.BLOCKED for e in joining)
 
     for stream in range(10):
         world = sample_realization(model, seed, stream=stream)
-        k = reveal(fresh_knowledge(net, source), source, world)
+        k = reveal(net, fresh_knowledge(net, source), source, world)
         while k.current != sink:
             step = fixed.decide(k)
             on_route = k.current in route
@@ -786,7 +850,7 @@ def test_fixed_route_follows_the_route_until_a_hop_is_known_blocked(
             if step is None:
                 break
             nxt = net.edge_by_id[step].other(k.current)
-            k = reveal(k.moved_to(nxt), nxt, world)
+            k = reveal(net, k._replace(current=nxt), nxt, world)
 
 
 PLANNER_VARIANTS = {
@@ -907,7 +971,7 @@ def test_planner_cuts_a_reveal_that_cannot_win():
     assert ("X", every, xy) not in planner._memo
     assert ("X", every, xy | xt) not in planner._memo
     world = oracles.Realization(states={e.id: EdgeState.OPEN for e in net.edges})
-    k = reveal(fresh_knowledge(net, "S"), "S", world)
+    k = reveal(net, fresh_knowledge(net, "S"), "S", world)
     assert optimal_action(net, model, k, "T", fc) == reference.action(k) == "T"
 
 
@@ -1048,7 +1112,7 @@ def test_greedy_policies_decide_like_an_uncached_search(directed, monkeypatch):
             current = starts[int(gen.integers(3))]
             blocked = sum(1 << b for b in pool if gen.uniform() < 0.4)
             known = net.incident_mask[current] | blocked
-            k = KnowledgeState(net, current, known, blocked)
+            k = KnowledgeState(current, known, blocked)
             want = _uncached_greedy(net, sink, k)
             before = len(calls)
             assert replan.decide(k) == want
@@ -1081,22 +1145,22 @@ def test_greedy_searches_again_only_when_an_examined_road_changes(monkeypatch):
     calls = _counting_searches(monkeypatch)
     policy = ReplanGreedyPolicy(net, "T")
     at_s = net.incident_mask["S"]
-    assert policy.decide(KnowledgeState(net, "S", at_s, 0)) == "sa"
+    assert policy.decide(KnowledgeState("S", at_s, 0)) == "sa"
     assert len(calls) == 1
     # xy blocked lies outside what the search read: no new search
     known = at_s | bit["xy"]
-    assert policy.decide(KnowledgeState(net, "S", known, bit["xy"])) == "sa"
+    assert policy.decide(KnowledgeState("S", known, bit["xy"])) == "sa"
     assert len(calls) == 1
     # at blocked lies inside it: a new search, which detours through X
     known = at_s | bit["at"]
-    assert policy.decide(KnowledgeState(net, "S", known, bit["at"])) == "sx"
+    assert policy.decide(KnowledgeState("S", known, bit["at"])) == "sx"
     assert len(calls) == 2
     # an abort is not cached: each new belief that aborts searches again
     blocked = bit["at"] | bit["xy"]
-    assert policy.decide(KnowledgeState(net, "S", at_s | blocked, blocked)) is None
+    assert policy.decide(KnowledgeState("S", at_s | blocked, blocked)) is None
     assert len(calls) == 3
     known = at_s | blocked | bit["yt"]
-    assert policy.decide(KnowledgeState(net, "S", known, blocked)) is None
+    assert policy.decide(KnowledgeState("S", known, blocked)) is None
     assert len(calls) == 4
 
 
