@@ -9,8 +9,11 @@ ran with. Each run lasts ``run_seconds`` of the ``BENCHMARK.json`` next
 to this script, the benchmark's own run length. With two checkouts every
 seed runs in both, and which one goes first alternates from seed to
 seed, so a slow spell of a shared machine falls on both sides alike.
-Exits 1 at once when a run exits non-zero, and after writing every row
-when any run was not correct or had failed operations.
+After the runs it prints each end-to-end metric's median per checkout
+and, with two checkouts, how many seeds the first one won, by the
+metric's direction in ``BENCHMARK.json``. Exits 1 at once when a run
+exits non-zero, and after writing every row when any run was not correct
+or had failed operations.
 
 Usage (from a checkout root; LABEL=DIR names a checkout to run):
     python3 scripts/bench_record.py new=. old=../parent \\
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +42,8 @@ def main() -> int:
     args = parser.parse_args()
     if len(args.checkouts) > 2:
         parser.error("give one checkout, or two to compare")
-    seconds = json.loads(BENCHMARK.read_text())["run_seconds"]
+    benchmark = json.loads(BENCHMARK.read_text())
+    seconds = benchmark["run_seconds"]
 
     sides = []
     for spec in args.checkouts:
@@ -50,6 +55,7 @@ def main() -> int:
         parser.error("the two checkouts need different labels")
 
     bad = 0
+    rows: dict[str, list[dict]] = {label: [] for label, _ in sides}
     with contextlib.ExitStack() as stack:
         files = {
             label: stack.enter_context(open(args.out / f"BENCH_{label}.json", "w"))
@@ -77,12 +83,32 @@ def main() -> int:
                 }
                 files[label].write(json.dumps(row) + "\n")
                 files[label].flush()
+                rows[label].append(row)
                 bad += not row["correct"] or row["failed"] > 0
                 print(f"{label} seed {seed}: correct {row['correct']}, "
                       f"{row['failed']} of {row['attempted']} ops failed")
+    for line in summary(benchmark["end_to_end"], rows):
+        print(line)
     if bad:
         print(f"{bad} runs were not correct or had failed ops", file=sys.stderr)
     return 1 if bad else 0
+
+
+def summary(end_to_end: list[dict], rows: dict[str, list[dict]]) -> list[str]:
+    """One line per end-to-end metric: each label's median and, for two
+    labels, how many seeds the first one did better on."""
+    labels = list(rows)
+    lines = []
+    for metric in end_to_end:
+        name = metric["name"]
+        values = [[r["metrics"][name]["value"] for r in rows[label]] for label in labels]
+        parts = [f"{label} {statistics.median(v):.6g}" for label, v in zip(labels, values)]
+        if len(labels) == 2:
+            sign = 1 if metric["better"] == "higher" else -1
+            won = sum(sign * (a - b) > 0 for a, b in zip(*values))
+            parts.append(f"{labels[0]} won {won} of {len(values[0])}")
+        lines.append(f"{name} ({metric['unit']}): " + ", ".join(parts))
+    return lines
 
 
 if __name__ == "__main__":

@@ -28,6 +28,11 @@ from .errors import ParseError, UnknownNode, ValidationError
 _DOC_KEYS = {"directed", "nodes", "edges"}
 _EDGE_KEYS = {"id", "u", "v", "cost", "p"}
 
+# relative slack on every comparison against a lower bound: path sums
+# add costs in different orders and reveal weights may sum to 1 - eps, so
+# a computed value can fall a few ulps below its bound
+PRUNE_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -44,10 +49,12 @@ class Edge:
 class PathResult:
     """A concrete path: node sequence plus its total cost.
 
-    examined masks the edges whose passability the search read, those
-    leaving the nodes it settled before the target, so any mask that
-    agrees with its mask there gives the same result; -1, the default for
-    a hand-built result, stands for every edge.
+    examined masks edges such that any mask that agrees with the search's
+    mask on them gives the same result; -1, the default for a hand-built
+    result, stands for every edge. It depends on how the search was run:
+    without a bound it holds every edge leaving a node settled before the
+    target, what the search read; with one, only those leaving a settled
+    node that a path as cheap as the one found can pass (shortest_path).
     """
 
     nodes: tuple[str, ...]
@@ -269,7 +276,11 @@ def dijkstra_distances(
 
 
 def shortest_path(
-    net: RoadNetwork, source: str, target: str, mask: int = -1
+    net: RoadNetwork,
+    source: str,
+    target: str,
+    mask: int = -1,
+    bound: Optional[Mapping[str, float]] = None,
 ) -> Optional[PathResult]:
     """Cheapest path from source to target over the edges in mask, or None
     if unreachable.
@@ -279,21 +290,40 @@ def shortest_path(
     heap key is (cost, node sequence); with strictly positive costs the
     key grows along every extension, so plain Dijkstra settles each node
     with its lexicographically minimal cheapest path first.
+
+    bound, if given, maps each node to a lower bound on its cost to the
+    target under every mask, such as dijkstra_distances(net.reverse,
+    target); a node it lacks cannot reach the target. It changes only the
+    result's examined mask: a settled node u keeps its leaving edges there
+    only if g(u) + bound[u] <= cost * (1 + PRUNE_MARGIN), g(u) its settled
+    cost. That is exact. Under any mask that agrees on the kept edges, a
+    path that leaves the kept nodes does so over a kept edge, into either
+    a dropped node u, so it costs at least g(u) + bound[u], or a node not
+    settled before the target, which no search reaches below the cost
+    found. Either way it loses to the path found, and a path over kept
+    edges alone is open under the search's own mask too. PRUNE_MARGIN is
+    far wider than the rounding of any path sum.
     """
     net.require_node(source)
     net.require_node(target)
     arcs, outgoing = net.arcs, net.outgoing_mask
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
-    done: set[str] = set()
+    done: dict[str, float] = {}
     examined = 0
     while heap:
         d, seq = heapq.heappop(heap)
         node = seq[-1]
         if node in done:
             continue
-        done.add(node)
         if node == target:
+            if bound is not None:
+                limit = d * (1 + PRUNE_MARGIN)
+                examined = 0
+                for u, g in done.items():
+                    if g + bound.get(u, math.inf) <= limit:
+                        examined |= outgoing[u]
             return PathResult(nodes=seq, cost=d, examined=examined)
+        done[node] = d
         examined |= outgoing[node]
         for bit, other, cost in arcs[node]:
             if not mask & bit or other in done:

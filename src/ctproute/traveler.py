@@ -56,6 +56,7 @@ from .errors import (
     ValidationError,
 )
 from .network import (
+    PRUNE_MARGIN,
     Edge,
     RoadNetwork,
     cheapest_edge,
@@ -66,10 +67,6 @@ from .network import (
 
 # most undecided uncertain edges an exact expectation may enumerate
 UNCERTAIN_EDGE_CAP = 20
-
-# relative slack on pruning: reveal weights may sum to 1 - eps, so a
-# computed value can fall a few ulps below its lower bound
-PRUNE_MARGIN = 1e-9
 
 
 def default_failure_cost(net: RoadNetwork) -> float:
@@ -520,6 +517,8 @@ class ReplanGreedyPolicy(Policy):
         self.net = net
         self.sink = sink
         self._memo: dict = {}
+        # free-space cost of each node to the sink, every search's bound
+        self._to_sink = dijkstra_distances(net.reverse, sink)
         # node -> examined -> blocked & examined -> first hop of the search
         self._first_hops: dict[str, dict[int, dict[int, str]]] = {}
 
@@ -530,14 +529,20 @@ class ReplanGreedyPolicy(Policy):
     def _greedy_step(self, k: KnowledgeState) -> Optional[str]:
         """The greedy decision, not memoized. A search from k.current whose
         examined edges k.blocked agrees on would return the same path, so
-        its first hop is reused; an abort is searched again."""
+        its first hop is reused; an abort is searched again. The searches
+        pass the free-space distances to the sink as their bound, so
+        examined leaves out the roads from settled nodes that no path as
+        cheap as the one found can pass, and blocking one of those reuses
+        the hop too (shortest_path)."""
         groups = self._first_hops.setdefault(k.current, {})
         for examined, hops in groups.items():
             nxt = hops.get(k.blocked & examined)
             if nxt is not None:
                 break
         else:
-            path = shortest_path(self.net, k.current, self.sink, ~k.blocked)
+            path = shortest_path(
+                self.net, k.current, self.sink, ~k.blocked, self._to_sink
+            )
             if path is None:
                 return None
             nxt = path.nodes[1]

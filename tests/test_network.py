@@ -372,20 +372,30 @@ def test_mask_searches_agree_with_oracles(seed, graph):
                 assert (edge and edge.id) == (joining[0][1] if joining else None)
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    graph=st.sampled_from(["grid", "directed_grid", "multigraph"]),
-)
-def test_a_mask_that_agrees_on_the_examined_edges_finds_the_same_path(seed, graph):
+def _search_network(seed: int, graph: str) -> RoadNetwork:
     if graph == "multigraph":
-        net = _multigraph(seed)
-    else:
-        net, *_ = oracles.random_grid(
-            seed, rows=3, cols=4, uncertain=0, directed=graph == "directed_grid"
-        )
+        return _multigraph(seed)
+    net, *_ = oracles.random_grid(
+        seed, rows=3, cols=4, uncertain=0, directed=graph == "directed_grid"
+    )
+    return net
+
+
+def _decimal_costs(net: RoadNetwork, seed: int) -> RoadNetwork:
+    """net with each cost drawn from {0.1, 0.2, 0.3, 0.7}, whose float sums
+    nearly tie (0.1 + 0.2 against 0.3) and round differently by order."""
+    gen = np.random.default_rng(seed)
+    edges = tuple(
+        Edge(e.id, e.u, e.v, float(gen.choice((0.1, 0.2, 0.3, 0.7))))
+        for e in net.edges
+    )
+    return RoadNetwork(nodes=net.nodes, edges=edges, directed=net.directed)
+
+
+def _check_agreeing_masks(net: RoadNetwork, seed: int) -> None:
     gen = np.random.default_rng(seed)
     every = (1 << len(net.edges)) - 1
+    bounds = {t: dijkstra_distances(net.reverse, t) for t in net.nodes}
 
     def random_mask():
         return sum(1 << b for b in range(len(net.edges)) if gen.uniform() < 0.7)
@@ -396,7 +406,9 @@ def test_a_mask_that_agrees_on_the_examined_edges_finds_the_same_path(seed, grap
                 continue
             mask = random_mask()
             path = shortest_path(net, source, target, mask)
+            bounded = shortest_path(net, source, target, mask, bounds[target])
             if path is None:
+                assert bounded is None
                 continue
             examined = path.examined
             assert 0 <= examined <= every
@@ -407,6 +419,39 @@ def test_a_mask_that_agrees_on_the_examined_edges_finds_the_same_path(seed, grap
                 again = shortest_path(net, source, target, agreeing)
                 assert again == path
                 assert again.examined == examined
+            # the bound changes only examined, to a part of the unbounded one
+            # that still holds the roads leaving the path's own nodes
+            assert bounded == path
+            kept = bounded.examined
+            assert kept & ~examined == 0
+            for node in path.nodes[:-1]:
+                assert kept & net.outgoing_mask[node] == net.outgoing_mask[node]
+            outside = [0, every] + [random_mask() for _ in range(4)]
+            for rest in outside:
+                agreeing = mask & kept | rest & ~kept
+                for again in (
+                    shortest_path(net, source, target, agreeing),
+                    shortest_path(net, source, target, agreeing, bounds[target]),
+                ):
+                    assert again == path
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    graph=st.sampled_from(["grid", "directed_grid", "multigraph"]),
+)
+def test_a_mask_that_agrees_on_the_examined_edges_finds_the_same_path(seed, graph):
+    _check_agreeing_masks(_search_network(seed, graph), seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    graph=st.sampled_from(["grid", "directed_grid", "multigraph"]),
+)
+def test_the_bound_stays_exact_when_decimal_path_sums_nearly_tie(seed, graph):
+    _check_agreeing_masks(_decimal_costs(_search_network(seed, graph), seed), seed)
 
 
 def test_path_equality_ignores_the_examined_edges():

@@ -1128,8 +1128,8 @@ def test_greedy_policies_decide_like_an_uncached_search(directed, monkeypatch):
 
 
 def test_greedy_searches_again_only_when_an_examined_road_changes(monkeypatch):
-    # from S the search settles S and A and pops T, so it reads sa, sx and
-    # at, never xy or yt
+    # from S the search settles S, B, A and C and pops T, so it reads sa,
+    # sx, sb, bc and at, never xy or yt
     net = make_network(
         [
             ("sa", "S", "A", 1.0),
@@ -1137,11 +1137,19 @@ def test_greedy_searches_again_only_when_an_examined_road_changes(monkeypatch):
             ("sx", "S", "X", 5.0),
             ("xy", "X", "Y", 1.0),
             ("yt", "Y", "T", 1.0),
+            ("sb", "S", "B", 0.5),
+            ("bc", "B", "C", 1.0),
         ]
     )
     bit = {e: 1 << net.edge_bit[e] for e in net.edge_by_id}
     path = shortest_path(net, "S", "T")
-    assert path.examined == bit["sa"] | bit["sx"] | bit["at"]
+    assert path.examined == bit["sa"] | bit["sx"] | bit["at"] | bit["sb"] | bit["bc"]
+    # B and C lie 2.5 and 3.5 from T, so no path through them costs 2:
+    # with that bound the search keeps only S's and A's roads
+    to_t = dijkstra_distances(net, "T")
+    bounded = shortest_path(net, "S", "T", -1, to_t)
+    assert bounded == path
+    assert bounded.examined == bit["sa"] | bit["sx"] | bit["at"] | bit["sb"]
     calls = _counting_searches(monkeypatch)
     policy = ReplanGreedyPolicy(net, "T")
     at_s = net.incident_mask["S"]
@@ -1150,6 +1158,11 @@ def test_greedy_searches_again_only_when_an_examined_road_changes(monkeypatch):
     # xy blocked lies outside what the search read: no new search
     known = at_s | bit["xy"]
     assert policy.decide(KnowledgeState("S", known, bit["xy"])) == "sa"
+    assert len(calls) == 1
+    # bc blocked was read, but only from nodes the bound rules out: no new
+    # search either
+    known = at_s | bit["bc"]
+    assert policy.decide(KnowledgeState("S", known, bit["bc"])) == "sa"
     assert len(calls) == 1
     # at blocked lies inside it: a new search, which detours through X
     known = at_s | bit["at"]
