@@ -6,13 +6,12 @@ come from direct input or from a logistic model on edge covariates:
     log(p_l / (1 - p_l)) = sum_i Z_li * beta_i
 
 A Realization fixes the true open or blocked state of every edge for one
-draw of the world. Sampling draws one uniform per edge in model order and
-only then applies overrides, so two runs that differ only in overrides
-share the randomness of every other edge. The uniforms of replicate r are
-the first ones of its stream (rng.uniforms, drawn without building a
-generator), and edge l is blocked iff its uniform is below p_l, one
-float64 compare over the whole model; the world's state dict is then
-built from those flags in one C-level pass, with no per-edge Python code.
+draw of the world. Replicate r draws the first uniforms u in [0, 1) of
+its stream (rng.uniforms), one per edge in model order, and blocks edge l
+iff u < p_l: one float64 compare, then one C-level pass builds the dict.
+So p_l = 1 blocks the edge in every world and p_l = 0 opens it, and a
+model pinned as {**model.probabilities, edge_id: 1.0} keeps the edge's
+place and, under one seed, every other edge's state.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -129,13 +128,6 @@ class BlockageModel:
         """Edges whose state is genuinely random (0 < p < 1)."""
         return tuple(e for e, p in self.probabilities.items() if 0.0 < p < 1.0)
 
-    def reordered(self, edge_ids: Sequence[str]) -> "BlockageModel":
-        return BlockageModel(
-            probabilities={e: self.probability(e) for e in edge_ids},
-            covariates=self.covariates,
-            beta=self.beta,
-        )
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -188,43 +180,25 @@ def blockage_probabilities(Z: CovariateMatrix, beta: BetaVector) -> BlockageMode
     )
 
 
-def checked_overrides(
-    model: BlockageModel, overrides: Optional[Mapping[str, EdgeState]]
-) -> dict[str, EdgeState]:
-    """Overrides as a dict, each naming a model edge and open or blocked."""
-    overrides = dict(overrides or {})
-    for edge_id, s in overrides.items():
-        if edge_id not in model.probabilities:
-            raise UnknownEdge(f"override for unknown edge {edge_id!r}")
-        if s not in (EdgeState.OPEN, EdgeState.BLOCKED):
-            raise ValidationError("override state must be open or blocked")
-    return overrides
-
-
 def sample_realization(
-    model: BlockageModel,
-    seed: int,
-    overrides: Optional[Mapping[str, EdgeState]] = None,
-    *,
-    stream: int = 0,
+    model: BlockageModel, seed: int, *, stream: int = 0
 ) -> Realization:
-    """Draw one world. Same (model, seed, overrides, stream) gives the
-    same Realization bit for bit.
+    """Draw one world. Same (model, seed, stream) gives the same
+    Realization bit for bit.
 
-    One uniform is drawn per edge in model order before overrides are
-    applied, so conditioned and unconditioned runs under one seed share
-    every non overridden edge state. `stream` selects the replicate
-    substream, see the rng module for the split rule.
+    One uniform is drawn per edge in model order, so two models that
+    list the same edges in the same order, such as a model and a copy
+    that pins one edge at 0 or 1, share every other edge's state under
+    one seed. `stream` selects the replicate substream, see the rng
+    module for the split rule.
     """
-    overrides = checked_overrides(model, overrides)
     probs = model.probabilities
     n = len(probs)
     uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, n)
     blocked = uniforms < np.fromiter(probs.values(), float, n)
     states = dict(zip(probs, map(_STATES.__getitem__, blocked.tolist())))
-    states.update(overrides)
-    # every state is one of the two members or a checked override, so the
-    # world skips Realization's copy and re-check
+    # every state is one of the two members, so the world skips
+    # Realization's copy and re-check
     world = object.__new__(Realization)
     object.__setattr__(world, "states", states)
     return world

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .blockage import BlockageModel, EdgeState
+from .blockage import BlockageModel
 from .errors import (
     IncompatibleOptions,
     UnknownEdge,
@@ -139,13 +139,12 @@ def canadian_betweenness(
         policy = OptimalPolicy(net, cond, sink, failure_cost)
 
     if method == "exact":
-        blocked = evaluate_policy_exact(
-            net, cond, policy, source, sink, failure_cost,
-            overrides={edge_id: EdgeState.BLOCKED},
-        )
-        opened = evaluate_policy_exact(
-            net, cond, policy, source, sink, failure_cost,
-            overrides={edge_id: EdgeState.OPEN},
+        blocked, opened = (
+            evaluate_policy_exact(
+                net, BlockageModel({**cond.probabilities, edge_id: p}),
+                policy, source, sink, failure_cost,
+            )
+            for p in (1.0, 0.0)
         )
         return CbcResult(
             edge_id=edge_id,

@@ -84,7 +84,7 @@ class RoadNetwork:
                 raise ValidationError(f"duplicate edge id: {e.id!r}")
             seen_edges.add(e.id)
             for endpoint in (e.u, e.v):
-                if endpoint not in seen_nodes:
+                if not isinstance(endpoint, str) or endpoint not in seen_nodes:
                     raise ValidationError(
                         f"edge {e.id!r} references unknown endpoint {endpoint!r}"
                     )
@@ -202,6 +202,11 @@ def parse_graph_document(text: str) -> tuple[RoadNetwork, Optional[dict[str, flo
         _require(not extra, f"unknown edge keys: {sorted(extra)}")
         for key in ("id", "u", "v", "cost"):
             _require(key in raw, f"edge missing required key {key!r}")
+        for key in ("id", "u", "v"):
+            _require(
+                isinstance(raw[key], str) and raw[key] != "",
+                f"edge {key} must be a nonempty string: {raw[key]!r}",
+            )
         cost = raw["cost"]
         _require(
             isinstance(cost, (int, float)) and not isinstance(cost, bool),

@@ -38,7 +38,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,7 +46,6 @@ from .blockage import (
     BlockageModel,
     EdgeState,
     Realization,
-    checked_overrides,
     sample_realization,
 )
 from .errors import (
@@ -155,22 +154,14 @@ class _Instance:
     sink: str
 
 
-def _compile(
-    net: RoadNetwork,
-    model: BlockageModel,
-    sink: str,
-    overrides: Optional[Mapping[str, EdgeState]] = None,
-) -> _Instance:
-    """Compile for exact work; an override acts as probability 0 or 1."""
+def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
+    """Compile for exact work; an edge of probability 0 or 1 is known."""
     model.validate_for(net)
     net.require_node(sink)
-    overrides = checked_overrides(model, overrides)
     outcomes = []
     uncertain = known = blocked = 0
     for b, e in enumerate(net.edges):
         p = model.probability(e.id)
-        if e.id in overrides:
-            p = float(overrides[e.id] is EdgeState.BLOCKED)
         if 0.0 < p < 1.0:
             uncertain |= 1 << b
             outcomes.append(((0, 1.0 - p), (1 << b, p)))
@@ -820,7 +811,6 @@ def simulate_policy(
     replications: int,
     seed: int,
     failure_cost: Optional[float] = None,
-    overrides: Optional[Mapping[str, EdgeState]] = None,
 ) -> TravelTimeDistribution:
     """Monte Carlo policy evaluation over sampled worlds.
 
@@ -831,7 +821,7 @@ def simulate_policy(
     times = np.empty(replications, dtype=float)
     failed = np.empty(replications, dtype=bool)
     for r in range(replications):
-        world = sample_realization(model, seed, overrides, stream=r)
+        world = sample_realization(model, seed, stream=r)
         outcome = walk_policy(net, world, policy, source, sink, failure_cost)
         times[r] = outcome.travel_time
         failed[r] = outcome.failed
@@ -856,8 +846,8 @@ def simulate_blocked_and_open(
     failure_cost: Optional[float] = None,
 ) -> tuple[TravelTimeDistribution, TravelTimeDistribution]:
     """simulate_policy with edge_id forced blocked, and with it forced
-    open, on common random numbers: equal to the two runs with overrides
-    {edge_id: BLOCKED} and {edge_id: OPEN}.
+    open, on common random numbers: equal to the two runs whose model
+    pins edge_id at 1 and at 0.
 
     Replicate r samples its world once and walks it once, up to the first
     arrival that reveals edge_id; until then the two runs see the same
@@ -901,14 +891,14 @@ def evaluate_policy_exact(
     source: str,
     sink: str,
     failure_cost: Optional[float] = None,
-    overrides: Optional[Mapping[str, EdgeState]] = None,
 ) -> ExpectedTime:
     """Exact expectation of a policy by enumerating reveal outcomes.
 
-    The policy decides from its knowledge alone; overrides condition the
-    dynamics, forcing the revealed state of chosen edges while every
-    other edge keeps its model probability. Requires the policy to be a
-    pure function of (current node, known mask, blocked mask).
+    The policy decides from its knowledge alone, and the model drives the
+    dynamics only: a model that pins an edge at 0 or 1 conditions the
+    revealed state of that edge, whatever the policy was built from.
+    Requires the policy to be a pure function of (current node, known
+    mask, blocked mask).
     """
     model.validate_for(net)
     net.require_node(source)
@@ -916,7 +906,7 @@ def evaluate_policy_exact(
     if source == sink:
         raise ValidationError("source and sink must differ")
     failure_cost = checked_failure_cost(net, failure_cost)
-    inst = _compile(net, model, sink, overrides)
+    inst = _compile(net, model, sink)
     _check_cap(inst, source, 0, inst.blocked)
     memo: dict[KnowledgeState, tuple[float, float]] = {}
     active: set[KnowledgeState] = set()

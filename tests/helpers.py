@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from ctproute.blockage import BlockageModel
+from ctproute.blockage import BlockageModel, EdgeState
 from ctproute.network import Edge, RoadNetwork
 
 
@@ -34,3 +34,14 @@ def make_network(
 
 def make_model(**probabilities: float) -> BlockageModel:
     return BlockageModel(probabilities=dict(probabilities))
+
+
+def pinned(
+    model: BlockageModel, states: Optional[Mapping[str, EdgeState]]
+) -> BlockageModel:
+    """The model with each named edge pinned: blocked at probability 1.0,
+    open at 0.0, every edge keeping its place; None pins nothing."""
+    pins = {EdgeState.BLOCKED: 1.0, EdgeState.OPEN: 0.0}
+    return BlockageModel(
+        {**model.probabilities, **{e: pins[s] for e, s in (states or {}).items()}}
+    )

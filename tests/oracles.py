@@ -352,13 +352,12 @@ def recursive_policy_value(
     source: str,
     sink: str,
     failure_cost: float,
-    overrides: dict | None = None,
 ) -> tuple[float, float]:
     """evaluate_policy_exact as it was written before it followed moves
     that reveal one outcome in a loop: one recursion level per move, with
     the package's compile and reveal enumeration, so it keeps the float
     order and the package must match it bit for bit."""
-    inst = traveler._compile(net, model, sink, overrides)
+    inst = traveler._compile(net, model, sink)
     memo: dict = {}
 
     def visit(node: str, known: int, blocked: int) -> tuple[float, float]:

@@ -30,7 +30,7 @@ from ctproute.errors import (
     UnknownEdge,
     ValidationError,
 )
-from helpers import make_network
+from helpers import make_network, pinned
 
 
 class TestBlockageModel:
@@ -60,12 +60,6 @@ class TestBlockageModel:
             probabilities={"a": 0.0, "b": 0.5, "c": 1.0, "d": 0.999}
         )
         assert model.uncertain_edges() == ("b", "d")
-
-    def test_reordered_changes_iteration_order(self):
-        model = BlockageModel(probabilities={"a": 0.1, "b": 0.2})
-        again = model.reordered(["b", "a"])
-        assert list(again.probabilities) == ["b", "a"]
-        assert again.probability("a") == 0.1
 
 
 class TestCovariateMatrix:
@@ -197,10 +191,7 @@ class TestSampling:
         for stream in range(20):
             free = sample_realization(self.MODEL, seed=7, stream=stream)
             forced = sample_realization(
-                self.MODEL,
-                seed=7,
-                overrides={"e1": EdgeState.BLOCKED},
-                stream=stream,
+                pinned(self.MODEL, {"e1": EdgeState.BLOCKED}), seed=7, stream=stream
             )
             assert forced.state("e1") is EdgeState.BLOCKED
             for other in ("e2", "e3", "e4"):
@@ -227,7 +218,7 @@ class TestSampling:
                 want[e] = EdgeState.BLOCKED if u < probs[e] else EdgeState.OPEN
             want.update(overrides)
             model = BlockageModel(probabilities=probs)
-            world = sample_realization(model, 99, overrides, stream=stream)
+            world = sample_realization(pinned(model, overrides), 99, stream=stream)
             assert list(world.states.items()) == list(want.items())
             if edge_ids[-1] not in overrides:
                 assert world.state(edge_ids[-1]) is EdgeState.OPEN
@@ -237,17 +228,11 @@ class TestSampling:
     )
     def test_sampled_world_equals_a_user_built_one(self, overrides):
         for stream in range(20):
-            world = sample_realization(self.MODEL, 5, overrides, stream=stream)
+            world = sample_realization(pinned(self.MODEL, overrides), 5, stream=stream)
             built = Realization(states=world.states)
             assert type(world) is Realization
             assert world == built
             assert list(world.states.items()) == list(built.states.items())
-
-    def test_override_validation(self):
-        with pytest.raises(UnknownEdge):
-            sample_realization(self.MODEL, 0, overrides={"ghost": EdgeState.OPEN})
-        with pytest.raises(ValidationError):
-            sample_realization(self.MODEL, 0, overrides={"e1": EdgeState.UNKNOWN})
 
     def test_blockage_frequency_tracks_probability(self):
         model = BlockageModel(probabilities={"e": 0.3})

@@ -36,7 +36,7 @@ from ctproute.traveler import (
     simulate_blocked_and_open,
     simulate_policy,
 )
-from helpers import make_network, make_model
+from helpers import make_network, make_model, pinned
 
 
 class _CountingPolicy(Policy):
@@ -267,8 +267,8 @@ class TestMonteCarloCentrality:
                 run_seed = rng.derive_seed(seed, edge.id)
                 runs = [
                     simulate_policy(
-                        net, cond, policy, source, sink, reps, run_seed, fc,
-                        overrides={edge.id: state},
+                        net, pinned(cond, {edge.id: state}), policy, source, sink,
+                        reps, run_seed, fc,
                     )
                     for state in (EdgeState.BLOCKED, EdgeState.OPEN)
                 ]

@@ -459,6 +459,30 @@ class TestRoute:
         assert rc == 0
         assert json.loads(out)["value"] == pytest.approx(7.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "nodes, edge, field",
+        [
+            ([["a"], "b"], {"id": "x", "u": "a", "v": "b"}, "node id"),
+            (["a", "b"], {"id": ["x"], "u": "a", "v": "b"}, "edge id"),
+            (["a", "b"], {"id": "x", "u": ["a"], "v": "b"}, "edge u"),
+            (["a", "b"], {"id": "x", "u": "a", "v": {"b": 1}}, "edge v"),
+        ],
+        ids=["node", "edge-id", "edge-u", "edge-v"],
+    )
+    def test_non_string_ids_exit_2_with_one_error_line(
+        self, capsys, tmp_path, nodes, edge, field
+    ):
+        doc = {"nodes": nodes, "edges": [{**edge, "cost": 1, "p": 0.5}]}
+        graph = tmp_path / "bad.json"
+        graph.write_text(json.dumps(doc), encoding="utf-8")
+        rc, out, err = run(
+            capsys, ["route", "--graph", str(graph), "--source", "a", "--sink", "b"]
+        )
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{field} must be a nonempty string" in err
+        assert "Traceback" not in err
+
     def test_missing_graph_file_rejected(self, capsys, tmp_path):
         rc, _, err = run(
             capsys,

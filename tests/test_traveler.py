@@ -40,7 +40,7 @@ from ctproute.traveler import (
     simulate_policy,
     walk_policy,
 )
-from helpers import make_network, make_model
+from helpers import make_network, make_model, pinned
 
 ALL_OPEN = {"d": EdgeState.OPEN, "a": EdgeState.OPEN, "b": EdgeState.OPEN}
 
@@ -523,12 +523,7 @@ class TestExactPolicyEvaluation:
         net, model = tb_fixture(0.25)
         greedy = ReplanGreedyPolicy(net, "T")
         result = evaluate_policy_exact(
-            net,
-            model,
-            greedy,
-            "S",
-            "T",
-            overrides={"at": EdgeState.BLOCKED},
+            net, pinned(model, {"at": EdgeState.BLOCKED}), greedy, "S", "T"
         )
         # greedy still tries the gamble (it plans from nominal optimism),
         # discovers the forced blockage at A, and turns back: 1 + 1 + 4
@@ -546,7 +541,7 @@ class TestExactPolicyEvaluation:
             fc = default_failure_cost(net)
             policy = OptimalPolicy(net, model, sink, fc)
             got = evaluate_policy_exact(
-                net, model, policy, source, sink, fc, overrides=overrides
+                net, pinned(model, overrides), policy, source, sink, fc
             )
             want_v, want_f = oracles.policy_value_by_enumeration(
                 net, model, policy, source, sink, fc, overrides=overrides
@@ -576,11 +571,12 @@ class TestExactPolicyEvaluation:
         ]
         for policy in policies:
             for overrides in conditions:
+                conditioned = pinned(model, overrides)
                 got = evaluate_policy_exact(
-                    net, model, policy, source, sink, fc, overrides=overrides
+                    net, conditioned, policy, source, sink, fc
                 )
                 want = oracles.recursive_policy_value(
-                    net, model, policy, source, sink, fc, overrides=overrides
+                    net, conditioned, policy, source, sink, fc
                 )
                 assert (got.value, got.failure_probability) == want
 
@@ -597,7 +593,7 @@ class TestExactPolicyEvaluation:
         policy = FixedRoutePolicy(net, nodes[-1], nodes)
         blocked, opened = (
             evaluate_policy_exact(
-                net, model, policy, "n0", nodes[-1], overrides={"e0": state}
+                net, pinned(model, {"e0": state}), policy, "n0", nodes[-1]
             )
             for state in (EdgeState.BLOCKED, EdgeState.OPEN)
         )
@@ -629,8 +625,7 @@ class TestExactPolicyEvaluation:
         policy = ReplanGreedyPolicy(net, "T")
         with pytest.raises(UnknownEdge):
             evaluate_policy_exact(
-                net, model, policy, "S", "T",
-                overrides={"ghost": EdgeState.OPEN},
+                net, pinned(model, {"ghost": EdgeState.OPEN}), policy, "S", "T"
             )
 
     def test_cap_counts_overrides_as_decided(self):
@@ -645,7 +640,7 @@ class TestExactPolicyEvaluation:
         ):
             evaluate_policy_exact(net, model, greedy, "S", "T")
         result = evaluate_policy_exact(
-            net, model, greedy, "S", "T", overrides={"e0": EdgeState.OPEN}
+            net, pinned(model, {"e0": EdgeState.OPEN}), greedy, "S", "T"
         )
         # the walk reaches T only if the 20 free roads are all open
         assert result.failure_probability == pytest.approx(1.0 - 0.5**20)
@@ -1010,7 +1005,7 @@ def test_walk_matches_the_reveal_walk_exactly(variant):
             if gen.uniform() < 0.3
         }
         worlds = [
-            sample_realization(model, seed, overrides, stream=r)
+            sample_realization(pinned(model, overrides), seed, stream=r)
             for overrides in (None, forced)
             for r in range(4)
         ]
