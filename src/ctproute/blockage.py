@@ -21,7 +21,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -92,11 +92,9 @@ class BetaVector:
 
 @dataclass(frozen=True)
 class BlockageModel:
-    """Blockage probability per edge id, plus optional model provenance."""
+    """Blockage probability per edge id."""
 
     probabilities: Mapping[str, float]
-    covariates: Optional[CovariateMatrix] = None
-    beta: Optional[BetaVector] = None
 
     def __post_init__(self) -> None:
         probs = dict(self.probabilities)
@@ -173,11 +171,7 @@ def blockage_probabilities(Z: CovariateMatrix, beta: BetaVector) -> BlockageMode
             f"covariates have {Z.k} columns but beta has {beta.values.size} entries"
         )
     probs = expit(Z.values @ beta.values)
-    return BlockageModel(
-        probabilities={e: float(p) for e, p in zip(Z.edge_ids, probs)},
-        covariates=Z,
-        beta=beta,
-    )
+    return BlockageModel({e: float(p) for e, p in zip(Z.edge_ids, probs)})
 
 
 def sample_realization(

@@ -40,7 +40,7 @@ from .network import RoadNetwork, dijkstra_distances
 from .render import csv_text, fmt
 from .traveler import (
     OptimalPolicy,
-    checked_failure_cost,
+    checked_journey,
     evaluate_policy_exact,
     simulate_blocked_and_open,
     standard_error,
@@ -64,14 +64,11 @@ class CbcResult:
     se_blocked: Optional[float] = None
     se_open: Optional[float] = None
     se_cbc: Optional[float] = None
-    replications: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class CentralityTable:
     rows: tuple[CbcResult, ...]
-    source: Optional[str] = None
-    sink: Optional[str] = None
     config: dict = field(default_factory=dict)
 
 
@@ -125,14 +122,9 @@ def canadian_betweenness(
 ) -> CbcResult:
     """Blockage centrality of one edge between a source and sink."""
     _validate_options(mode, method, failure_handling)
-    model.validate_for(net)
+    failure_cost = checked_journey(net, model, source, sink, failure_cost)
     if edge_id not in net.edge_by_id:
         raise UnknownEdge(f"unknown edge {edge_id!r}")
-    net.require_node(source)
-    net.require_node(sink)
-    if source == sink:
-        raise ValidationError("source and sink must differ")
-    failure_cost = checked_failure_cost(net, failure_cost)
     cond = _conditioned_model(net, model, edge_id, mode)
     policy = _policy
     if policy is None or mode == "others_open":
@@ -180,7 +172,6 @@ def canadian_betweenness(
         se_blocked=bse,
         se_open=ose,
         se_cbc=se_cbc,
-        replications=replications,
     )
 
 
@@ -198,8 +189,7 @@ def canadian_betweenness_all(
 ) -> CentralityTable:
     """Blockage centrality for every edge, rows in edge id order."""
     _validate_options(mode, method, failure_handling)
-    model.validate_for(net)
-    failure_cost = checked_failure_cost(net, failure_cost)
+    failure_cost = checked_journey(net, model, source, sink, failure_cost)
     shared = None
     if mode == "others_stochastic":
         # one nominal policy serves every edge in this mode
@@ -223,7 +213,7 @@ def canadian_betweenness_all(
         "seed": seed,
         "replications": replications if method == "monte_carlo" else None,
     }
-    return CentralityTable(rows=rows, source=source, sink=sink, config=config)
+    return CentralityTable(rows=rows, config=config)
 
 
 def geodesic_scores(net: RoadNetwork) -> dict[str, float]:
@@ -236,6 +226,7 @@ def geodesic_scores(net: RoadNetwork) -> dict[str, float]:
     contribute nothing, which makes the score per component.
     """
     scores = {e.id: 0.0 for e in net.edges}
+    into = net.reverse.arcs  # the roads into each node, in edge order
     for s in net.nodes:
         dist = dijkstra_distances(net, s)
         # path counts in increasing distance order; costs are positive so
@@ -248,14 +239,9 @@ def geodesic_scores(net: RoadNetwork) -> dict[str, float]:
         for node in order:
             if node == s:
                 continue
-            for e in net.incident[node]:
-                tail = e.other(node)
-                if net.directed and e.v != node:
-                    continue
-                if tail not in dist:
-                    continue
-                if dist[tail] + e.cost == dist[node]:
-                    preds[node].append((tail, e.id))
+            for bit, tail, cost in into[node]:
+                if tail in dist and dist[tail] + cost == dist[node]:
+                    preds[node].append((tail, net.edges[bit.bit_length() - 1].id))
                     sigma[node] += sigma[tail]
 
         delta = {node: 0.0 for node in order}

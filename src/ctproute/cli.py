@@ -52,7 +52,7 @@ CAP_HINTS = {
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write_text(path: str, text: str) -> None:

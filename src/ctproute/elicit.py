@@ -69,7 +69,6 @@ class BetaPrior:
 @dataclass(frozen=True)
 class BetaSample:
     draws: np.ndarray
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,7 @@ def sample_beta(prior: BetaPrior, m: int, seed: int) -> BetaSample:
     if m < 1:
         raise ValidationError("need at least one draw")
     gen = rng.substream(seed, rng.BETA_DRAWS, 0)
-    return BetaSample(draws=_normal_draws(prior, m, gen), provenance="fit")
+    return BetaSample(draws=_normal_draws(prior, m, gen))
 
 
 def mix_experts(
@@ -222,7 +221,7 @@ def mix_experts(
         prior = fit_prior(Z, P)
         gen = rng.substream(seed, rng.EXPERT_MIX, j)
         blocks.append(_normal_draws(prior, per_draw_samples, gen))
-    return BetaSample(draws=np.vstack(blocks), provenance="mixture")
+    return BetaSample(draws=np.vstack(blocks))
 
 
 def mixture_moments(

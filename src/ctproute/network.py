@@ -314,22 +314,19 @@ def shortest_path(
     arcs, outgoing = net.arcs, net.outgoing_mask
     heap: list[tuple[float, tuple[str, ...]]] = [(0.0, (source,))]
     done: dict[str, float] = {}
-    examined = 0
     while heap:
         d, seq = heapq.heappop(heap)
         node = seq[-1]
         if node in done:
             continue
         if node == target:
-            if bound is not None:
-                limit = d * (1 + PRUNE_MARGIN)
-                examined = 0
-                for u, g in done.items():
-                    if g + bound.get(u, math.inf) <= limit:
-                        examined |= outgoing[u]
+            limit = d * (1 + PRUNE_MARGIN)
+            examined = 0
+            for u, g in done.items():
+                if bound is None or g + bound.get(u, math.inf) <= limit:
+                    examined |= outgoing[u]
             return PathResult(nodes=seq, cost=d, examined=examined)
         done[node] = d
-        examined |= outgoing[node]
         for bit, other, cost in arcs[node]:
             if not mask & bit or other in done:
                 continue

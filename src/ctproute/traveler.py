@@ -83,6 +83,25 @@ def checked_failure_cost(net: RoadNetwork, failure_cost: Optional[float]) -> flo
     return failure_cost
 
 
+def checked_journey(
+    net: RoadNetwork,
+    model: BlockageModel,
+    source: str,
+    sink: str,
+    failure_cost: Optional[float],
+    replications: int = 1,
+) -> float:
+    """Validate a journey's inputs; returns its failure cost."""
+    model.validate_for(net)
+    net.require_node(source)
+    net.require_node(sink)
+    if source == sink:
+        raise ValidationError("source and sink must differ")
+    if replications < 1:
+        raise ValidationError("replications must be at least 1")
+    return checked_failure_cost(net, failure_cost)
+
+
 class KnowledgeState(NamedTuple):
     """What the traveler has observed: its position and two edge masks.
 
@@ -141,8 +160,8 @@ class ExpectedTime:
 class _Instance:
     """What the model and the sink add to a network for exact expectations.
 
-    Edges with probability exactly 0 or 1, and overridden edges, are
-    folded into the initial `known` and `blocked` masks.
+    Edges with probability exactly 0 or 1 are folded into the initial
+    `known` and `blocked` masks.
     """
 
     net: RoadNetwork
@@ -155,9 +174,8 @@ class _Instance:
 
 
 def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
-    """Compile for exact work; an edge of probability 0 or 1 is known."""
-    model.validate_for(net)
-    net.require_node(sink)
+    """Compile for exact work; an edge of probability 0 or 1 is known.
+    The caller has checked the model and the sink."""
     outcomes = []
     uncertain = known = blocked = 0
     for b, e in enumerate(net.edges):
@@ -251,13 +269,14 @@ def _reveal_expectation(
 
 class _Planner:
     """Memoized expectimax over beliefs (node, known mask, blocked mask);
-    each graph search is cached on its inputs."""
+    each graph search is cached on its inputs. The caller has checked the
+    model, the sink and the failure cost."""
 
     def __init__(
         self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
     ):
         self.inst = _compile(net, model, sink)
-        self.failure_cost = float(checked_failure_cost(net, failure_cost))
+        self.failure_cost = float(failure_cost)
         self._memo: dict[tuple[str, int, int], tuple[float, float, Optional[str]]] = {}
         self._reach: dict[tuple[str, int], bool] = {}
         self._dist: dict[tuple[str, int], dict[str, float]] = {}
@@ -384,11 +403,7 @@ def exact_expected_time(
     the realized world; those outcomes contribute the travel spent before
     failure became certain plus failure_cost.
     """
-    net.require_node(source)
-    net.require_node(sink)
-    if source == sink:
-        raise ValidationError("source and sink must differ")
-    failure_cost = checked_failure_cost(net, failure_cost)
+    failure_cost = checked_journey(net, model, source, sink, failure_cost)
     planner = _Planner(net, model, sink, failure_cost)
     value, fail, _ = planner.plan(source, planner.inst.known, planner.inst.blocked)
     return ExpectedTime(
@@ -410,6 +425,7 @@ def optimal_action(
     smallest node id. Observed states take precedence over the model, so
     observations that contradict a probability of 0 or 1 are respected.
     """
+    model.validate_for(net)
     net.require_node(sink)
     if knowledge.current == sink:
         raise ValidationError("traveler is already at the sink")
@@ -473,9 +489,12 @@ class OptimalPolicy(Policy):
     def __init__(
         self, net: RoadNetwork, model: BlockageModel, sink: str, failure_cost: float
     ):
+        model.validate_for(net)
+        net.require_node(sink)
         self.net = net
         self.sink = sink
-        self._planner = _Planner(net, model, sink, failure_cost)
+        fc = checked_failure_cost(net, failure_cost)
+        self._planner = _Planner(net, model, sink, fc)
         self._memo: dict = {}
 
     @_memoized
@@ -783,25 +802,6 @@ class TravelTimeDistribution:
         }
 
 
-def _checked_run(
-    net: RoadNetwork,
-    model: BlockageModel,
-    source: str,
-    sink: str,
-    replications: int,
-    failure_cost: Optional[float],
-) -> float:
-    """Validate a Monte Carlo run's inputs; returns its failure cost."""
-    model.validate_for(net)
-    net.require_node(source)
-    net.require_node(sink)
-    if source == sink:
-        raise ValidationError("source and sink must differ")
-    if replications < 1:
-        raise ValidationError("replications must be at least 1")
-    return checked_failure_cost(net, failure_cost)
-
-
 def simulate_policy(
     net: RoadNetwork,
     model: BlockageModel,
@@ -817,7 +817,7 @@ def simulate_policy(
     Replicate r draws its world from substream (seed, r), so output is
     independent of batching and worker count, and reruns are identical.
     """
-    failure_cost = _checked_run(net, model, source, sink, replications, failure_cost)
+    failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
     times = np.empty(replications, dtype=float)
     failed = np.empty(replications, dtype=bool)
     for r in range(replications):
@@ -855,7 +855,7 @@ def simulate_blocked_and_open(
     edge blocked and one with it open, each with the steps left. A walk
     that ends before the edge is revealed counts for both runs.
     """
-    failure_cost = _checked_run(net, model, source, sink, replications, failure_cost)
+    failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
     if edge_id not in net.edge_bit:
         raise UnknownEdge(f"unknown edge {edge_id!r}")
     bit = 1 << net.edge_bit[edge_id]
@@ -900,12 +900,7 @@ def evaluate_policy_exact(
     Requires the policy to be a pure function of (current node, known
     mask, blocked mask).
     """
-    model.validate_for(net)
-    net.require_node(source)
-    net.require_node(sink)
-    if source == sink:
-        raise ValidationError("source and sink must differ")
-    failure_cost = checked_failure_cost(net, failure_cost)
+    failure_cost = checked_journey(net, model, source, sink, failure_cost)
     inst = _compile(net, model, sink)
     _check_cap(inst, source, 0, inst.blocked)
     memo: dict[KnowledgeState, tuple[float, float]] = {}

@@ -112,7 +112,11 @@ class TestLogisticProbabilities:
             assert model.probability(edge_id) == pytest.approx(
                 expected, abs=1e-15
             )
-        assert model.covariates is Z and model.beta is beta
+        # equal inputs in distinct arrays give equal models
+        twin = CovariateMatrix(
+            values=Z.values.copy(), columns=Z.columns, edge_ids=Z.edge_ids
+        )
+        assert model == blockage_probabilities(twin, BetaVector(beta.values.copy()))
 
     def test_expit_equals_two_branch_formula_without_warnings(self):
         def two_branch(x):

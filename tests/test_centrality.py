@@ -189,7 +189,6 @@ class TestMonteCarloCentrality:
         assert mc.se_blocked > 0.0
         assert abs(mc.e_t_blocked - exact.e_t_blocked) <= 3 * mc.se_blocked
         assert abs(mc.e_t_open - exact.e_t_open) <= 3 * mc.se_open
-        assert mc.replications == 4000
 
     def test_reruns_are_identical(self):
         net, model = tri_fixture()
@@ -372,7 +371,6 @@ class TestWholeTable:
         table = canadian_betweenness_all(net, model, "S", "T")
         assert [row.edge_id for row in table.rows] == ["a", "b", "d"]
         assert all(isinstance(row, CbcResult) for row in table.rows)
-        assert table.source == "S" and table.sink == "T"
 
     def test_config_echoes_the_resolved_settings(self):
         net, model = tri_fixture()

@@ -850,6 +850,39 @@ class TestElicit:
             assert float(row["q95"]) == pytest.approx(0.3, abs=1e-9)
 
 
+def test_inputs_with_a_byte_order_mark_read_as_plain(capsys, tmp_path):
+    # Excel's "CSV UTF-8" and PowerShell start a file with a UTF-8 BOM
+    files = {
+        "g.json": TRI_DOC_NO_P,
+        "p.csv": TRI_PROBS_CSV,
+        "z.csv": "edge_id,bias,grade\nd,1,0.5\na,1,-2\nb,1,-3\n",
+        "ez.csv": ELICIT_COV,
+        "expert.csv": ELICIT_POINT,
+    }
+    runs = [
+        ["route", "--graph", "g.json", "--source", "S", "--sink", "T",
+         "--probabilities", "p.csv"],
+        ["route", "--graph", "g.json", "--source", "S", "--sink", "T",
+         "--covariates", "z.csv", "--beta=-1.0,2.0"],
+        ["elicit", "--covariates", "ez.csv", "--expert", "expert.csv"],
+    ]
+    outs: dict[str, list[str]] = {}
+    for encoding in ("utf-8", "utf-8-sig"):
+        folder = tmp_path / encoding
+        folder.mkdir()
+        for name, text in files.items():
+            (folder / name).write_text(text, encoding=encoding)
+        outs[encoding] = []
+        for argv in runs:
+            rc, out, err = run(
+                capsys, [str(folder / a) if a in files else a for a in argv]
+            )
+            assert rc == 0, err
+            # the echoed paths differ by their folder only
+            outs[encoding].append(out.replace(str(folder), ""))
+    assert outs["utf-8-sig"] == outs["utf-8"]
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         exe = shutil.which("ctproute")

@@ -208,7 +208,6 @@ class TestSampling:
         a = sample_beta(self.PRIOR, 100, seed=4)
         b = sample_beta(self.PRIOR, 100, seed=4)
         assert np.array_equal(a.draws, b.draws)
-        assert a.provenance == "fit"
 
     def test_moments_converge(self):
         sample = sample_beta(self.PRIOR, 40_000, seed=0)
@@ -281,7 +280,6 @@ class TestMixing:
         again = mix_experts(self.Z, [self.P1, self.P2], 50, seed=9)
         assert sample.draws.shape == (100, 1)
         assert np.array_equal(sample.draws, again.draws)
-        assert sample.provenance == "mixture"
 
     def test_each_expert_draw_has_its_own_stream(self):
         # the first expert's block must not depend on how many experts
@@ -348,7 +346,7 @@ class TestPushforward:
 
     def test_single_draw_collapses_the_quantiles(self):
         Z = matrix([[1.0], [2.0]])
-        sample = BetaSample(draws=np.array([[0.5]]), provenance="fit")
+        sample = BetaSample(draws=np.array([[0.5]]))
         summaries = pushforward_probabilities(Z, sample)
         for s, logit_value in zip(summaries, (0.5, 1.0)):
             expected = 1.0 / (1.0 + math.exp(-logit_value))
@@ -358,7 +356,7 @@ class TestPushforward:
 
     def test_edge_ids_follow_the_covariate_rows(self):
         Z = matrix([[1.0], [2.0]], edges=("north", "south"))
-        sample = BetaSample(draws=np.array([[0.1]]), provenance="fit")
+        sample = BetaSample(draws=np.array([[0.1]]))
         assert [s.edge_id for s in pushforward_probabilities(Z, sample)] == [
             "north",
             "south",
@@ -366,7 +364,7 @@ class TestPushforward:
 
     def test_draw_shape_must_match_covariates(self):
         Z = matrix([[1.0, 2.0]])
-        sample = BetaSample(draws=np.array([[0.1]]), provenance="fit")
+        sample = BetaSample(draws=np.array([[0.1]]))
         with pytest.raises(DimensionMismatch):
             pushforward_probabilities(Z, sample)
 
@@ -387,7 +385,7 @@ class TestPushforward:
                 (float(np.mean(row)), float(a), float(b), float(c))
                 for row, a, b, c in zip(probs, q05, q50, q95)
             ]
-            got = pushforward_probabilities(Z, BetaSample(draws, "fit"))
+            got = pushforward_probabilities(Z, BetaSample(draws))
             assert [(s.mean, s.q05, s.median, s.q95) for s in got] == want
 
     def test_pushforward_holds_one_table_at_its_peak(self):
@@ -397,10 +395,10 @@ class TestPushforward:
         Z = matrix(gen.normal(size=(200, 3)))
         draws = gen.normal(size=(2000, 3))
         table = 200 * 2000 * 8
-        pushforward_probabilities(Z, BetaSample(draws[:2], "fit"))  # warm up numpy
+        pushforward_probabilities(Z, BetaSample(draws[:2]))  # warm up numpy
         tracemalloc.start()
         try:
-            pushforward_probabilities(Z, BetaSample(draws, "fit"))
+            pushforward_probabilities(Z, BetaSample(draws))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -429,7 +427,7 @@ def test_logit_roundtrip_over_the_open_interval(p):
 def test_pushforward_quantiles_are_ordered_probabilities(draws):
     Z = matrix([[1.0, 0.5], [-2.0, 1.0], [0.0, 3.0]])
     summaries = pushforward_probabilities(
-        Z, BetaSample(draws=draws, provenance="fit")
+        Z, BetaSample(draws=draws)
     )
     for s in summaries:
         assert 0.0 <= s.q05 <= s.median <= s.q95 <= 1.0

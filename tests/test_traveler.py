@@ -1192,6 +1192,65 @@ def test_every_entry_point_refuses_a_bad_failure_cost(bad):
             call()
 
 
+# each entry point that checks a journey, as a call of (net, model, source,
+# sink) on the tri fixture; the policies are built for the fixture's sink T
+JOURNEY_CALLS = {
+    "exact_expected_time": lambda net, m, s, t: exact_expected_time(net, m, s, t),
+    "evaluate_policy_exact": lambda net, m, s, t: evaluate_policy_exact(
+        net, m, ReplanGreedyPolicy(net, "T"), s, t
+    ),
+    "simulate_policy": lambda net, m, s, t: simulate_policy(
+        net, m, ReplanGreedyPolicy(net, "T"), s, t, 5, 0
+    ),
+    "simulate_blocked_and_open": lambda net, m, s, t: (
+        traveler.simulate_blocked_and_open(
+            net, m, ReplanGreedyPolicy(net, "T"), s, t, "d", 5, 0
+        )
+    ),
+    "canadian_betweenness": lambda net, m, s, t: canadian_betweenness(
+        net, m, s, t, "d"
+    ),
+    "canadian_betweenness_all": lambda net, m, s, t: canadian_betweenness_all(
+        net, m, s, t
+    ),
+    # the source is the knowledge state's node
+    "optimal_action": lambda net, m, s, t: optimal_action(
+        net, m, KnowledgeState(s, 0, 0), t
+    ),
+    # these two take no source
+    "OptimalPolicy": lambda net, m, s, t: OptimalPolicy(net, m, t, None),
+    "make_policy": lambda net, m, s, t: make_policy("optimal", net, m, t),
+}
+
+# fault -> (source, sink, drop road b from the model, exception type, message)
+JOURNEY_FAULTS = {
+    "unknown source": ("X", "T", False, UnknownNode, "unknown node 'X'"),
+    "unknown sink": ("S", "X", False, UnknownNode, "unknown node 'X'"),
+    "source is sink": ("T", "T", False, ValidationError, "must differ|at the sink"),
+    "model lacks a road": ("S", "T", True, ValidationError, "without probability"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, fault",
+    [
+        (entry, fault)
+        for entry in JOURNEY_CALLS
+        for fault in JOURNEY_FAULTS
+        if entry not in ("OptimalPolicy", "make_policy")
+        or fault in ("unknown sink", "model lacks a road")
+    ],
+)
+def test_every_entry_point_refuses_a_bad_journey(entry, fault):
+    net, model = tri_fixture()
+    source, sink, drop, error, message = JOURNEY_FAULTS[fault]
+    if drop:
+        model = BlockageModel({e: p for e, p in model.probabilities.items() if e != "b"})
+    with pytest.raises(error, match=message) as raised:
+        JOURNEY_CALLS[entry](net, model, source, sink)
+    assert type(raised.value) is error
+
+
 def test_failure_cost_defaults_and_accepts_zero():
     net, _ = tri_fixture()
     assert traveler.checked_failure_cost(net, None) == default_failure_cost(net)
