@@ -9,7 +9,7 @@ own output. All outputs are byte deterministic functions of the inputs,
 flags, and seed; numbers are rendered with 12 significant digits.
 
 Exit status: 0 success, 2 validation or parse failure (message on
-stderr), 3 exact planner refused because too many edges are uncertain.
+stderr), 3 exact work refused at its belief budget or recursion limit.
 """
 
 from __future__ import annotations

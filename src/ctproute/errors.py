@@ -31,7 +31,8 @@ class DimensionMismatch(ValidationError):
 
 
 class TooManyUncertainEdges(ValidationError):
-    """Exact computation refused: uncertain edge count exceeds the cap."""
+    """Exact computation refused: it reached its belief budget or
+    Python's recursion limit."""
 
 
 class BadRoute(ValidationError):

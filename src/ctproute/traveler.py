@@ -64,8 +64,8 @@ from .network import (
     shortest_path,
 )
 
-# most undecided uncertain edges an exact expectation may enumerate
-UNCERTAIN_EDGE_CAP = 20
+# most beliefs one planner or one exact evaluation may hold in its memo
+BELIEF_BUDGET = 200_000
 
 
 def default_failure_cost(net: RoadNetwork) -> float:
@@ -198,28 +198,6 @@ def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
     )
 
 
-def _check_cap(inst: _Instance, node: str, known: int, blocked: int) -> None:
-    """Refuse a belief whose reachable undecided uncertain edges exceed
-    the cap.
-
-    Only edges incident to nodes reachable from node over edges not known
-    blocked can ever be revealed, so edges elsewhere do not count, and
-    observations already made keep large instances plannable.
-    """
-    undecided = inst.uncertain & ~known
-    if undecided.bit_count() <= UNCERTAIN_EDGE_CAP:
-        return  # the reachable count is at most this one
-    incident = inst.net.incident_mask
-    touched = 0
-    for n in reachable_nodes(inst.net, node, ~blocked):
-        touched |= incident[n]
-    count = (undecided & touched).bit_count()
-    if count > UNCERTAIN_EDGE_CAP:
-        raise TooManyUncertainEdges(
-            f"{count} uncertain edges exceed the cap of {UNCERTAIN_EDGE_CAP}"
-        )
-
-
 def _reveal_expectation(
     inst: _Instance,
     node: str,
@@ -288,24 +266,28 @@ class _Planner:
         inst = self.inst
         return inst.known | k.known, inst.blocked & ~k.known | k.blocked
 
-    def plan(
-        self, current: str, known: int, blocked: int
-    ) -> tuple[float, float, Optional[str]]:
-        """Cap checked entry point: value() over the remaining unknowns."""
-        _check_cap(self.inst, current, known, blocked)
-        return self.value(current, known, blocked)
-
     def value(
         self, node: str, known: int, blocked: int
     ) -> tuple[float, float, Optional[str]]:
         """Expected remaining time, failure probability, best target.
 
-        Target None means abort: failure is already certain here.
+        Target None means abort: failure is already certain here. A new
+        belief past the memo's BELIEF_BUDGET is refused, and so is one
+        that would recurse past Python's limit, one level per reveal.
         """
         key = (node, known, blocked)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._memo[key] = self._compute(node, known, blocked)
+            if len(self._memo) >= BELIEF_BUDGET:
+                raise TooManyUncertainEdges(
+                    f"the exact planner reached its budget of {BELIEF_BUDGET} beliefs"
+                )
+            try:
+                hit = self._memo[key] = self._compute(node, known, blocked)
+            except RecursionError:
+                raise TooManyUncertainEdges(
+                    "the exact planner reached Python's recursion limit"
+                ) from None
         return hit
 
     def _compute(
@@ -405,7 +387,7 @@ def exact_expected_time(
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost)
     planner = _Planner(net, model, sink, failure_cost)
-    value, fail, _ = planner.plan(source, planner.inst.known, planner.inst.blocked)
+    value, fail, _ = planner.value(source, planner.inst.known, planner.inst.blocked)
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
     )
@@ -431,7 +413,7 @@ def optimal_action(
         raise ValidationError("traveler is already at the sink")
     failure_cost = checked_failure_cost(net, failure_cost)
     planner = _Planner(net, model, sink, failure_cost)
-    _, _, target = planner.plan(knowledge.current, *planner.belief(knowledge))
+    _, _, target = planner.value(knowledge.current, *planner.belief(knowledge))
     return target
 
 
@@ -500,7 +482,7 @@ class OptimalPolicy(Policy):
     @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
         known, blocked = self._planner.belief(k)
-        _, _, target = self._planner.plan(k.current, known, blocked)
+        _, _, target = self._planner.value(k.current, known, blocked)
         if target is None:
             return None
         if target == k.current:
@@ -902,7 +884,6 @@ def evaluate_policy_exact(
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost)
     inst = _compile(net, model, sink)
-    _check_cap(inst, source, 0, inst.blocked)
     memo: dict[KnowledgeState, tuple[float, float]] = {}
     active: set[KnowledgeState] = set()
     incident = net.incident_mask
@@ -923,6 +904,11 @@ def evaluate_policy_exact(
             if k in active:
                 raise ValidationError(
                     "policy revisits a knowledge state without new information"
+                )
+            if len(memo) >= BELIEF_BUDGET:
+                raise TooManyUncertainEdges(
+                    f"the exact policy evaluator reached its budget of "
+                    f"{BELIEF_BUDGET} beliefs"
                 )
             active.add(k)
             edge_id = policy.decide(k)
@@ -946,7 +932,13 @@ def evaluate_policy_exact(
             result = memo[k] = (cost + result[0], result[1])
         return result
 
-    value, fail = _reveal_expectation(inst, source, 0, 0, visit)
+    try:
+        value, fail = _reveal_expectation(inst, source, 0, 0, visit)
+    except RecursionError:
+        # one level per move that reveals an uncertain road
+        raise TooManyUncertainEdges(
+            "the exact policy evaluator reached Python's recursion limit"
+        ) from None
     return ExpectedTime(
         value=value, failure_probability=fail, failure_cost=failure_cost
     )

@@ -70,8 +70,9 @@ WIDE_DOC = json.dumps(
 )
 
 # S reaches 22 uncertain M-T roads only after a certain first hop, so the
-# optimal policy meets the planner cap at its first decision, and exact
-# centrality still has 21 free roads once it conditions one of them
+# optimal policy meets the belief budget at its first decision, and exact
+# centrality still has 21 free roads, 2 ** 21 outcomes, once it
+# conditions one of them
 DEEP_DOC = json.dumps(
     {
         "nodes": ["S", "M", "T"],
@@ -262,7 +263,7 @@ class TestRoute:
             ["route", "--graph", str(graph), "--source", "S", "--sink", "T"],
         )
         assert rc == 3
-        assert "21 uncertain edges exceed the cap of 20" in err
+        assert "the exact planner reached its budget of 200000 beliefs" in err
         assert "use simulate --policy replan" in err
         assert "--method mc" not in err
 
@@ -330,8 +331,8 @@ class TestRoute:
 
     def test_ring_refusals_hint_at_a_command_that_finishes(self, capsys, tmp_path):
         # on this ring of 23 uncertain roads the exact planner refuses,
-        # while Monte Carlo of the optimal policy plans 19 undecided roads,
-        # one under the cap, at its first decision and does not finish
+        # and so does Monte Carlo of the optimal policy, whose first
+        # decision plans 19 undecided roads past the belief budget
         graph = tmp_path / "ring.json"
         graph.write_text(RING_DOC, encoding="utf-8")
         graph_flags = ["--graph", str(graph), "--source", "n0", "--sink", "n6"]
@@ -357,6 +358,32 @@ class TestRoute:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["summary"]["replications"] == 1000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["route", "--method", "mc", "--reps", "10"],
+            ["centrality", "--mode", "others_stochastic", "--method", "mc",
+             "--reps", "10"],
+        ],
+    )
+    def test_ring_monte_carlo_is_refused_not_left_running(self, tmp_path, argv):
+        # every decision plans afresh, so the budget must stop the first
+        # one here; a process that runs on fails by timing out
+        graph = tmp_path / "ring.json"
+        graph.write_text(RING_DOC, encoding="utf-8")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "ctproute.cli", *argv, "--graph", str(graph),
+                "--source", "n0", "--sink", "n6", "--output", str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert "reached its budget" in proc.stderr
 
     def test_mc_handles_many_uncertain_edges(self, capsys, tmp_path):
         graph = tmp_path / "wide.json"

@@ -628,22 +628,59 @@ class TestExactPolicyEvaluation:
                 net, pinned(model, {"ghost": EdgeState.OPEN}), policy, "S", "T"
             )
 
-    def test_cap_counts_overrides_as_decided(self):
+    def test_a_21_road_chain_is_answered(self):
+        # each move reveals one road, so the exact work grows with the
+        # roads, not with the outcomes of all 21 at once
         nodes = ["S", *(f"N{i}" for i in range(1, 21)), "T"]
         net = make_network(
             [(f"e{i}", u, v, 1.0) for i, (u, v) in enumerate(zip(nodes, nodes[1:]))]
         )
         model = BlockageModel(probabilities={e.id: 0.5 for e in net.edges})
+        fc = default_failure_cost(net)
+        # a traveler k roads out finds road k blocked with probability
+        # 0.5 ** (k + 1) and stops there, paying k + fc; the sink, 21
+        # roads out, is reached with probability 0.5 ** 21
+        want = sum(0.5 ** (k + 1) * (k + fc) for k in range(21)) + 0.5**21 * 21
         greedy = ReplanGreedyPolicy(net, "T")
-        with pytest.raises(
-            TooManyUncertainEdges, match="21 uncertain edges exceed the cap of 20"
-        ):
-            evaluate_policy_exact(net, model, greedy, "S", "T")
+        result = evaluate_policy_exact(net, model, greedy, "S", "T")
+        assert result.value == pytest.approx(want, rel=1e-12)
+        assert result.failure_probability == pytest.approx(1.0 - 0.5**21)
+        # on a chain no traveler can do other than go on while it can
+        assert exact_expected_time(net, model, "S", "T").value == pytest.approx(
+            want, rel=1e-12
+        )
         result = evaluate_policy_exact(
             net, pinned(model, {"e0": EdgeState.OPEN}), greedy, "S", "T"
         )
         # the walk reaches T only if the 20 free roads are all open
         assert result.failure_probability == pytest.approx(1.0 - 0.5**20)
+
+    def test_a_chain_deeper_than_the_recursion_limit_is_refused(self):
+        # 700 uncertain roads in a row take few beliefs, but exact work
+        # recurses one level per reveal, past Python's limit
+        nodes = ["S", *(f"N{i}" for i in range(1, 700)), "T"]
+        net = make_network(
+            [(f"e{i}", u, v, 1.0) for i, (u, v) in enumerate(zip(nodes, nodes[1:]))]
+        )
+        model = BlockageModel(probabilities={e.id: 0.5 for e in net.edges})
+        with pytest.raises(
+            TooManyUncertainEdges, match="planner reached Python's recursion limit"
+        ):
+            exact_expected_time(net, model, "S", "T")
+        with pytest.raises(
+            TooManyUncertainEdges, match="evaluator reached Python's recursion limit"
+        ):
+            evaluate_policy_exact(net, model, ReplanGreedyPolicy(net, "T"), "S", "T")
+
+    def test_evaluator_refuses_past_its_belief_budget(self):
+        # 21 parallel roads reveal 2 ** 21 outcomes at the source, one
+        # belief each, so the evaluator stops at its own budget
+        net = make_network([(f"e{i:02d}", "S", "T", 1.0 + i) for i in range(21)])
+        model = BlockageModel(probabilities={e.id: 0.5 for e in net.edges})
+        with pytest.raises(
+            TooManyUncertainEdges, match="exact policy evaluator reached its budget"
+        ):
+            evaluate_policy_exact(net, model, ReplanGreedyPolicy(net, "T"), "S", "T")
 
     @pytest.mark.parametrize("behind", ["nothing", "blocked_road"])
     @pytest.mark.parametrize("kind", ["optimal", "replan"])
@@ -905,7 +942,7 @@ def test_planner_prunes_targets_that_cannot_win():
     source, sink = net.nodes[0], net.nodes[-1]
     fc = default_failure_cost(net)
     planner = _Planner(net, model, sink, fc)
-    got = planner.plan(source, planner.inst.known, planner.inst.blocked)
+    got = planner.value(source, planner.inst.known, planner.inst.blocked)
     reference = oracles.ReferencePlanner(net, model, sink, fc)
     want = reference.value(source, reference.base_assignment())
     assert got == want
@@ -930,7 +967,7 @@ def test_every_planner_memo_entry_is_exact(variant):
         net, model, source, sink = PLANNER_VARIANTS[variant](seed)
         for fc in (default_failure_cost(net), 0.5, 1.0):
             planner = _Planner(net, model, sink, fc)
-            planner.plan(source, planner.inst.known, planner.inst.blocked)
+            planner.value(source, planner.inst.known, planner.inst.blocked)
             reference = oracles.ReferencePlanner(net, model, sink, fc)
             for (node, known, blocked), got in planner._memo.items():
                 want = reference.value(node, _assignment(net, known, blocked))
@@ -956,7 +993,7 @@ def test_planner_cuts_a_reveal_that_cannot_win():
     model = make_model(st=0.0, sx=0.0, xy=0.5, xt=0.5, yt=0.0)
     fc = default_failure_cost(net)
     planner = _Planner(net, model, "T", fc)
-    got = planner.plan("S", planner.inst.known, planner.inst.blocked)
+    got = planner.value("S", planner.inst.known, planner.inst.blocked)
     reference = oracles.ReferencePlanner(net, model, "T", fc)
     assert got == reference.value("S", reference.base_assignment())
     assert got == (10.0, 0.0, "T")
