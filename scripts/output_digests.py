@@ -4,10 +4,11 @@
 Builds one workload's operations with the benchmark's generator, runs each
 through its CLI runner and prints one JSON (kind, sha256, problems) line per
 operation. Two checkouts that give the same rows print the same bytes for
-every operation; give both the same absolute --workdir, since some
-outputs name the files they wrote. The checkouts may sit at different
-paths. Exits 1 when any operation reports problems, after printing every
-line.
+every operation, wherever they sit: some outputs name the files they
+wrote, so the default --workdir is one fixed absolute directory,
+ctproute-digests under the system temporary directory, and a --workdir
+given to compare two checkouts must be the same absolute path for both.
+Exits 1 when any operation reports problems, after printing every line.
 
 Usage (from a checkout root):
     python3 scripts/output_digests.py grid-exact [--seed 7] [--workdir DIR]
@@ -18,12 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
 parser.add_argument("workload")
 parser.add_argument("--seed", type=int, default=7)
-parser.add_argument("--workdir", type=Path, default=Path(".perfbench/digests"))
+parser.add_argument(
+    "--workdir", type=Path, default=Path(tempfile.gettempdir()) / "ctproute-digests"
+)
 args = parser.parse_args()
 
 sys.path.insert(0, str(Path.cwd() / "perfbench"))

@@ -262,21 +262,20 @@ def dijkstra_distances(
     edges in mask."""
     net.require_node(source)
     arcs = net.arcs
+    heappop, heappush, inf = heapq.heappop, heapq.heappush, math.inf
     dist: dict[str, float] = {source: 0.0}
     heap: list[tuple[float, str]] = [(0.0, source)]
-    done: set[str] = set()
     while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
+        d, node = heappop(heap)
+        if d > dist[node]:
+            continue  # stale: node was pushed again at a lower cost
         for bit, other, cost in arcs[node]:
             if not mask & bit:
                 continue
             nd = d + cost
-            if nd < dist.get(other, math.inf):
+            if nd < dist.get(other, inf):
                 dist[other] = nd
-                heapq.heappush(heap, (nd, other))
+                heappush(heap, (nd, other))
     return dist
 
 

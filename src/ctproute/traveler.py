@@ -256,7 +256,10 @@ class _Planner:
         self.inst = _compile(net, model, sink)
         self.failure_cost = float(failure_cost)
         self._memo: dict[tuple[str, int, int], tuple[float, float, Optional[str]]] = {}
-        self._reach: dict[tuple[str, int], bool] = {}
+        # blocked mask -> the nodes that can reach the sink; equal sets are
+        # one object, interned in _sets
+        self._reach: dict[int, frozenset[str]] = {}
+        self._sets: dict[frozenset[str], frozenset[str]] = {}
         self._dist: dict[tuple[str, int], dict[str, float]] = {}
         self._free: dict[int, dict[str, float]] = {}
 
@@ -345,13 +348,14 @@ class _Planner:
         return value, fail, target
 
     def _sink_reachable(self, node: str, blocked: int) -> bool:
-        """Whether the sink is reachable with every unblocked edge open."""
-        key = (node, blocked)
-        hit = self._reach.get(key)
+        """Whether the sink is reachable with every unblocked edge open:
+        one search back from the sink per blocked mask answers every node."""
+        hit = self._reach.get(blocked)
         if hit is None:
-            reach = reachable_nodes(self.inst.net, node, ~blocked)
-            hit = self._reach[key] = self.inst.sink in reach
-        return hit
+            net, sink = self.inst.net, self.inst.sink
+            reach = frozenset(reachable_nodes(net.reverse, sink, ~blocked))
+            hit = self._reach[blocked] = self._sets.setdefault(reach, reach)
+        return node in hit
 
     def _free_distances(self, blocked: int) -> dict[str, float]:
         """Distance to the sink over every edge not known blocked, for each
@@ -409,6 +413,7 @@ def optimal_action(
     """
     model.validate_for(net)
     net.require_node(sink)
+    net.require_node(knowledge.current)
     if knowledge.current == sink:
         raise ValidationError("traveler is already at the sink")
     failure_cost = checked_failure_cost(net, failure_cost)
@@ -481,6 +486,7 @@ class OptimalPolicy(Policy):
 
     @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
+        self.net.require_node(k.current)
         known, blocked = self._planner.belief(k)
         _, _, target = self._planner.value(k.current, known, blocked)
         if target is None:

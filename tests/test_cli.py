@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from ctproute import traveler
 from ctproute.blockage import BetaVector, blockage_probabilities, read_covariates_csv
 from ctproute.cli import CAP_HINTS, build_parser, main
 from ctproute.traveler import exact_expected_time
@@ -101,6 +102,11 @@ RING_DOC = json.dumps(
         ],
     }
 )
+
+
+# a belief budget the refusal tests reach in milliseconds; the hints and
+# exit codes do not depend on its size
+SMALL_BUDGET = 2_000
 
 
 def run(capsys, argv):
@@ -269,8 +275,9 @@ class TestRoute:
 
     @pytest.mark.parametrize("subcommand", sorted(CAP_HINTS))
     def test_cap_hint_names_the_subcommands_own_flags(
-        self, capsys, tmp_path, subcommand
+        self, capsys, tmp_path, subcommand, monkeypatch
     ):
+        monkeypatch.setattr(traveler, "BELIEF_BUDGET", SMALL_BUDGET)
         graph = tmp_path / "g.json"
         graph.write_text(DEEP_DOC, encoding="utf-8")
         rc, out, err = run(
@@ -286,8 +293,9 @@ class TestRoute:
 
     @pytest.mark.parametrize("subcommand", ["route", "centrality"])
     def test_mc_cap_refusal_does_not_repeat_its_own_flag(
-        self, capsys, tmp_path, subcommand
+        self, capsys, tmp_path, subcommand, monkeypatch
     ):
+        monkeypatch.setattr(traveler, "BELIEF_BUDGET", SMALL_BUDGET)
         graph = tmp_path / "g.json"
         graph.write_text(DEEP_DOC, encoding="utf-8")
         graph_flags = ["--graph", str(graph), "--source", "S", "--sink", "T"]
@@ -329,10 +337,14 @@ class TestRoute:
         assert args.subcommand == command
         assert getattr(args, flag[2:]) == value
 
-    def test_ring_refusals_hint_at_a_command_that_finishes(self, capsys, tmp_path):
+    def test_ring_refusals_hint_at_a_command_that_finishes(
+        self, capsys, tmp_path, monkeypatch
+    ):
         # on this ring of 23 uncertain roads the exact planner refuses,
         # and so does Monte Carlo of the optimal policy, whose first
-        # decision plans 19 undecided roads past the belief budget
+        # decision plans 19 undecided roads past the belief budget; the
+        # subprocess tests below meet the real budget
+        monkeypatch.setattr(traveler, "BELIEF_BUDGET", SMALL_BUDGET)
         graph = tmp_path / "ring.json"
         graph.write_text(RING_DOC, encoding="utf-8")
         graph_flags = ["--graph", str(graph), "--source", "n0", "--sink", "n6"]

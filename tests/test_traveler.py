@@ -21,7 +21,7 @@ from ctproute.errors import (
     ValidationError,
 )
 from ctproute.fixtures import tb_fixture, tri_fixture
-from ctproute.network import dijkstra_distances, shortest_path
+from ctproute.network import dijkstra_distances, reachable_nodes, shortest_path
 from ctproute.traveler import (
     FixedRoutePolicy,
     KnowledgeState,
@@ -175,7 +175,9 @@ class TestExactExpectedTime:
         with pytest.raises(ValidationError, match="must differ"):
             exact_expected_time(net, model, "S", "S")
 
-    def test_uncertain_edge_cap(self):
+    def test_uncertain_edge_cap(self, monkeypatch):
+        # a small budget refuses as the real one does, in milliseconds
+        monkeypatch.setattr(traveler, "BELIEF_BUDGET", 2_000)
         specs = [(f"e{i}", "S", "T", float(i + 1)) for i in range(21)]
         net = make_network(specs)
         model = BlockageModel(probabilities={e.id: 0.5 for e in net.edges})
@@ -972,6 +974,35 @@ def test_every_planner_memo_entry_is_exact(variant):
             for (node, known, blocked), got in planner._memo.items():
                 want = reference.value(node, _assignment(net, known, blocked))
                 assert got == want, (seed, fc, node, known, blocked)
+
+
+@pytest.mark.parametrize("seed", [7, 10])
+def test_planner_searches_reachability_once_per_blocked_mask(seed, monkeypatch):
+    # whether the sink can be reached depends on the node only through the
+    # set of nodes that reach it, so one search back from the sink per
+    # blocked mask answers every belief with that mask. On a directed grid
+    # reaching the sink from a node and reaching the node from the sink
+    # differ, and the memo, aborts included, still matches the reference
+    net, model, source, sink = oracles.random_grid(
+        seed, rows=3, cols=4, uncertain=8, directed=True
+    )
+    searches = []
+
+    def counting(*args, **kwargs):
+        searches.append(args)
+        return reachable_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(traveler, "reachable_nodes", counting)
+    fc = default_failure_cost(net)
+    planner = _Planner(net, model, sink, fc)
+    planner.value(source, planner.inst.known, planner.inst.blocked)
+    masks = {blocked for node, _, blocked in planner._memo if node != sink}
+    assert len(searches) == len(masks) < len(planner._memo)
+    assert any(target is None for _, _, target in planner._memo.values())
+    reference = oracles.ReferencePlanner(net, model, sink, fc)
+    for (node, known, blocked), got in planner._memo.items():
+        want = reference.value(node, _assignment(net, known, blocked))
+        assert got == want, (node, known, blocked)
 
 
 def test_planner_cuts_a_reveal_that_cannot_win():
