@@ -33,7 +33,6 @@ search caches.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -56,7 +55,6 @@ from .errors import (
 )
 from .network import (
     PRUNE_MARGIN,
-    Edge,
     RoadNetwork,
     cheapest_edge,
     dijkstra_distances,
@@ -427,34 +425,17 @@ class Policy:
 
     None aborts the journey. Implementations must behave as pure
     functions of (current node, known mask, blocked mask); the exact policy
-    evaluator and the simulator rely on that determinism.
+    evaluator and the simulator rely on that determinism. Their walks call
+    decide once per distinct belief per policy and network, and reuse its
+    checked move after that.
     """
 
     kind: str = "abstract"
+    # (network, belief -> checked move) of the network walked last
+    _table: tuple = (None, None)
 
     def decide(self, k: KnowledgeState) -> Optional[str]:
         raise NotImplementedError
-
-
-_MISS = object()  # a decision memo's miss, told apart from a cached None
-
-
-def _memoized(decide: Callable) -> Callable:
-    """Memoize a concrete policy's decide in its one dict, self._memo,
-    keyed on the belief itself; each class still owns its decide.
-    A traveler at the sink has no decision to make, so every policy
-    refuses it alike."""
-
-    @functools.wraps(decide)
-    def memoized(self, k: KnowledgeState) -> Optional[str]:
-        hit = self._memo.get(k, _MISS)
-        if hit is _MISS:  # None, an abort, is a cached decision
-            if k.current == self.sink:
-                raise ValidationError("traveler is already at the sink")
-            hit = self._memo[k] = decide(self, k)
-        return hit
-
-    return memoized
 
 
 def _known_open_step(net: RoadNetwork, k: KnowledgeState, nxt: str) -> str:
@@ -482,11 +463,11 @@ class OptimalPolicy(Policy):
         self.sink = sink
         fc = checked_failure_cost(net, failure_cost)
         self._planner = _Planner(net, model, sink, fc)
-        self._memo: dict = {}
 
-    @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
         self.net.require_node(k.current)
+        if k.current == self.sink:
+            raise ValidationError("traveler is already at the sink")
         known, blocked = self._planner.belief(k)
         _, _, target = self._planner.value(k.current, known, blocked)
         if target is None:
@@ -514,24 +495,24 @@ class ReplanGreedyPolicy(Policy):
     def __init__(self, net: RoadNetwork, sink: str):
         self.net = net
         self.sink = sink
-        self._memo: dict = {}
         # free-space cost of each node to the sink, every search's bound
         self._to_sink = dijkstra_distances(net.reverse, sink)
         # node -> examined -> blocked & examined -> first hop of the search
         self._first_hops: dict[str, dict[int, dict[int, str]]] = {}
 
-    @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
         return self._greedy_step(k)
 
     def _greedy_step(self, k: KnowledgeState) -> Optional[str]:
-        """The greedy decision, not memoized. A search from k.current whose
+        """The greedy decision. A search from k.current whose
         examined edges k.blocked agrees on would return the same path, so
         its first hop is reused; an abort is searched again. The searches
         pass the free-space distances to the sink as their bound, so
         examined leaves out the roads from settled nodes that no path as
         cheap as the one found can pass, and blocking one of those reuses
         the hop too (shortest_path)."""
+        if k.current == self.sink:
+            raise ValidationError("traveler is already at the sink")
         groups = self._first_hops.setdefault(k.current, {})
         for examined, hops in groups.items():
             nxt = hops.get(k.blocked & examined)
@@ -582,7 +563,6 @@ class FixedRoutePolicy(ReplanGreedyPolicy):
         self._hops = tuple(hops)
         self._index = {node: i for i, node in enumerate(route[:-1])}
 
-    @_memoized
     def decide(self, k: KnowledgeState) -> Optional[str]:
         i = self._index.get(k.current)
         if i is not None and all(hop & ~k.blocked for hop in self._hops[i:]):
@@ -618,9 +598,28 @@ class ReplicateOutcome:
     path: tuple[str, ...]
 
 
-def _checked_step(net: RoadNetwork, k: KnowledgeState, edge_id: str) -> Edge:
-    """The edge a policy chose from k; it must leave k.current and be
-    known open."""
+def _moves(policy: Policy, net: RoadNetwork) -> dict:
+    """policy's table of checked moves on net, keyed on the belief
+    (current, known, blocked): (next node, edge cost), or () for an abort.
+    A walk on another network starts a fresh table."""
+    owner, moves = policy._table
+    if owner is not net:
+        moves = {}
+        policy._table = (net, moves)
+    return moves
+
+
+def _checked_move(
+    net: RoadNetwork, policy: Policy, moves: dict, belief: tuple[str, int, int]
+) -> tuple:
+    """Decide belief and store its move in moves. The edge chosen must
+    leave the current node and be known open; a failed check raises and
+    stores nothing."""
+    k = KnowledgeState(*belief)
+    edge_id = policy.decide(k)
+    if edge_id is None:
+        moves[belief] = ()
+        return ()
     b = net.edge_bit.get(edge_id)
     if b is None:
         raise UnknownEdge(f"policy chose unknown edge {edge_id!r}")
@@ -632,7 +631,9 @@ def _checked_step(net: RoadNetwork, k: KnowledgeState, edge_id: str) -> Edge:
         raise ValidationError(
             f"policy tried to traverse edge {edge_id!r} not known open"
         )
-    return net.edges[b]
+    edge = net.edges[b]
+    move = moves[belief] = (edge.other(k.current), edge.cost)
+    return move
 
 
 def walk_policy(
@@ -646,7 +647,9 @@ def walk_policy(
     """Run one deterministic journey through a fully realized world.
 
     Pure function of (world, policy): replicate r of a simulation can be
-    reproduced in isolation by sampling world r and calling this.
+    reproduced in isolation by sampling world r and calling this. Walks
+    and the exact evaluator call policy.decide once per distinct belief
+    per policy and network, and replay its checked move after that.
 
     The walk reads masks only. The world's blocked entries, picked out in
     C, become one mask, closed, up front; world edges outside the network
@@ -716,18 +719,20 @@ def _walk(
     walk can go on from it in a world that differs only on stop."""
     current, known, time, steps = at
     incident = net.incident_mask
+    moves = _moves(policy, net)
     for left in range(steps, 0, -1):
         if known & stop:
             return current, known, time, left
         if current == sink:
             return ReplicateOutcome(time, False, tuple(path))
-        k = KnowledgeState(current, known, known & closed)
-        edge_id = policy.decide(k)
-        if edge_id is None:
+        belief = (current, known, known & closed)
+        move = moves.get(belief)
+        if move is None:
+            move = _checked_move(net, policy, moves, belief)
+        if not move:
             return ReplicateOutcome(time + failure_cost, True, tuple(path))
-        edge = _checked_step(net, k, edge_id)
-        current = edge.other(current)
-        time += edge.cost
+        current, cost = move
+        time += cost
         known |= incident[current]
         path.append(current)
     raise RuntimeError("policy failed to terminate; this is a bug")
@@ -890,20 +895,21 @@ def evaluate_policy_exact(
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost)
     inst = _compile(net, model, sink)
-    memo: dict[KnowledgeState, tuple[float, float]] = {}
-    active: set[KnowledgeState] = set()
+    memo: dict[tuple[str, int, int], tuple[float, float]] = {}
+    active: set[tuple[str, int, int]] = set()
     incident = net.incident_mask
+    moves = _moves(policy, net)
 
     def visit(node: str, known: int, blocked: int) -> tuple[float, float]:
         # a move whose reveal has one outcome passes its child's value on
         # unchanged, so a stretch of such moves is followed in a loop, not
         # by recursion, and its costs are added back in the recursion's order
-        stretch: list[tuple[KnowledgeState, float]] = []
+        stretch: list[tuple[tuple[str, int, int], float]] = []
         while True:
             if node == inst.sink:
                 result = (0.0, 0.0)
                 break
-            k = KnowledgeState(node, known, blocked)
+            k = (node, known, blocked)
             result = memo.get(k)
             if result is not None:
                 break
@@ -917,19 +923,20 @@ def evaluate_policy_exact(
                     f"{BELIEF_BUDGET} beliefs"
                 )
             active.add(k)
-            edge_id = policy.decide(k)
-            if edge_id is None:
+            move = moves.get(k)
+            if move is None:
+                move = _checked_move(net, policy, moves, k)
+            if not move:
                 result = (failure_cost, 1.0)
             else:
-                edge = _checked_step(net, k, edge_id)
-                node = edge.other(node)
+                node, cost = move
                 rest = incident[node] & ~known
                 if not rest & inst.uncertain:
-                    stretch.append((k, edge.cost))
+                    stretch.append((k, cost))
                     known, blocked = known | rest, blocked | rest & inst.blocked
                     continue
                 v, f = _reveal_expectation(inst, node, known, blocked, visit)
-                result = (edge.cost + v, f)
+                result = (cost + v, f)
             active.discard(k)
             memo[k] = result
             break

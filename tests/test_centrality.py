@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ctproute import rng
+from ctproute import rng, traveler
 from ctproute.blockage import EdgeState
 from ctproute.centrality import (
     CSV_HEADER,
@@ -314,9 +314,9 @@ class TestMonteCarloCentrality:
                     seen.add("one replicate")
         assert seen == {"road at the source", "road no walk reaches", "one replicate"}
 
-    def test_pair_walks_once_while_the_road_stays_unseen(self):
+    def test_pair_walks_once_while_the_road_stays_unseen(self, monkeypatch):
         # the direct road d never fails, so no walk reaches M and its road
-        # x: each replicate is one step, decided once for both runs
+        # x: each replicate is one walk of one step, shared by both runs
         net = make_network(
             [
                 ("d", "S", "T", 10.0),
@@ -326,11 +326,19 @@ class TestMonteCarloCentrality:
             ]
         )
         model = make_model(d=0.0, a=0.3, b=0.3, x=0.5)
+        walks = []
+        walk = traveler._walk
+
+        def counting(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(traveler, "_walk", counting)
         policy = _CountingPolicy(OptimalPolicy(net, model, "T", 20.0))
         blocked, opened = simulate_blocked_and_open(
             net, model, policy, "S", "T", "x", 50, 3, 20.0
         )
-        assert policy.calls == 50 and policy.nodes == {"S"}
+        assert len(walks) == 50 and policy.nodes == {"S"}
         assert np.all(blocked.times == 10.0) and np.all(opened.times == 10.0)
 
 

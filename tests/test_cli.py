@@ -718,6 +718,41 @@ class TestSimulate:
             assert {r["travel_time"] for r in rows} == {time_field}, policy
             assert {r["failed"] for r in rows} == {"false"}
 
+    @pytest.mark.parametrize(
+        "doc, route, times",
+        [
+            (
+                TRI_DOC, "route:S,T",
+                "12 10 10 10 10 10 10 10 10 12 10 12 10 12 10 10 10 10 10 10 10 10 10 10",
+            ),
+            (
+                tb_doc(0.25), "route:S,A,T",
+                "2 2 6 2 2 2 2 2 6 6 6 6 6 6 2 6 6 2 6 2 2 2 2 2",
+            ),
+        ],
+        ids=["tri", "tb"],
+    )
+    def test_replicate_records_are_pinned(self, capsys, tmp_path, doc, route, times):
+        # the travel times were recorded from this command; on these
+        # fixtures the three policies make the same moves in every world
+        graph = tmp_path / "graph.json"
+        graph.write_text(doc, encoding="utf-8")
+        want = "replicate,travel_time,failed\n" + "".join(
+            f"{r},{t},false\n" for r, t in enumerate(times.split())
+        )
+        for policy in ("optimal", "replan", route):
+            dest = tmp_path / "reps.csv"
+            rc, _, _ = run(
+                capsys,
+                [
+                    "simulate", "--graph", str(graph), "--source", "S",
+                    "--sink", "T", "--policy", policy, "--reps", "24",
+                    "--seed", "11", "--output", str(dest),
+                ],
+            )
+            assert rc == 0
+            assert dest.read_text(encoding="utf-8") == want, policy
+
     def test_requires_output(self, capsys, tri_graph):
         rc, _, err = run(
             capsys,

@@ -355,6 +355,26 @@ class TestWalkPolicy:
         with pytest.raises(ValidationError, match="not known open"):
             walk_policy(net, world, _ConstantPolicy("d"), "S", "T", 44.0)
 
+    def test_a_failed_check_is_not_stored(self):
+        net, _ = tri_fixture()
+        world = tri_world(d=EdgeState.BLOCKED)
+        policy = _ConstantPolicy("d")
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="not known open"):
+                walk_policy(net, world, policy, "S", "T", 44.0)
+
+    def test_one_policy_walks_each_network_at_its_own_costs(self):
+        # the same roads at twice the cost: the policy's moves on one
+        # network must not be replayed on the other
+        net, model = tri_fixture()
+        slow = make_network(
+            [("d", "S", "T", 20.0), ("a", "S", "M", 8.0), ("b", "M", "T", 16.0)]
+        )
+        policy = FixedRoutePolicy(net, "T", ("S", "M", "T"))
+        for walked, time in ((net, 12.0), (slow, 24.0), (net, 12.0)):
+            dist = simulate_policy(walked, model, policy, "S", "T", 5, seed=1)
+            assert np.all(dist.times == time)
+
     def test_nonterminating_policy_is_detected(self):
         net = make_network([("e", "S", "A", 1.0)], extra_nodes=("T",))
         world = oracles.Realization(states={"e": EdgeState.OPEN})
@@ -471,8 +491,9 @@ class TestPolicies:
 
     def test_memoized_abort_is_not_recomputed(self, monkeypatch):
         # T is cut off, so greedy's one search finds no path and aborts;
-        # the None it returns is a cached decision, not a memo miss
+        # the abort is a stored move, so the second walk searches nothing
         net = make_network([("sa", "S", "A", 1.0)], extra_nodes=("T",))
+        world = oracles.Realization(states={"sa": EdgeState.OPEN})
         calls = []
 
         def counting(*args, **kwargs):
@@ -481,9 +502,9 @@ class TestPolicies:
 
         monkeypatch.setattr(traveler, "shortest_path", counting)
         policy = ReplanGreedyPolicy(net, "T")
-        k = KnowledgeState("S", 1, 0)
-        assert policy.decide(k) is None
-        assert policy.decide(k) is None
+        for _ in range(2):
+            outcome = walk_policy(net, world, policy, "S", "T", 5.0)
+            assert outcome == ReplicateOutcome(5.0, True, ("S",))
         assert len(calls) == 1
 
     def test_make_policy_dispatch(self):
@@ -1135,6 +1156,31 @@ def test_world_edges_outside_the_network_change_no_walk(variant):
                 assert got == walk_policy(net, world, policy, source, sink, fc), kind
 
 
+@pytest.mark.parametrize("variant", WALK_VARIANTS)
+def test_simulation_decides_each_belief_once(variant):
+    # one policy serves every replicate and decides each belief once; a
+    # fresh policy per replicate walks the same journeys
+    reps = 30
+    for seed in range(6):
+        net, model, source, sink = WALK_VARIANTS[variant](seed)
+        fc = default_failure_cost(net)
+        for kind, make in _walk_policies(net, model, source, sink, fc).items():
+            shared = _RecordingPolicy(make())
+            dist = simulate_policy(net, model, shared, source, sink, reps, seed, fc)
+            times, failed = np.empty(reps), np.empty(reps, dtype=bool)
+            walked = set()
+            for r in range(reps):
+                fresh = _RecordingPolicy(make())
+                world = sample_realization(model, seed, stream=r)
+                outcome = walk_policy(net, world, fresh, source, sink, fc)
+                times[r], failed[r] = outcome.travel_time, outcome.failed
+                walked.update(fresh.snapshots)
+            assert np.array_equal(dist.times, times), kind
+            assert np.array_equal(dist.failed, failed), kind
+            assert len(shared.snapshots) == len(walked), kind
+            assert set(shared.snapshots) == walked, kind
+
+
 def _uncached_greedy(net, sink, k):
     """The greedy decision by one fresh search."""
     path = shortest_path(net, k.current, sink, ~k.blocked)
@@ -1161,6 +1207,7 @@ def test_greedy_policies_decide_like_an_uncached_search(directed, monkeypatch):
     calls = _counting_searches(monkeypatch)
     searches = beliefs = 0
     for seed in range(30):
+        distinct = set()
         net, _, source, sink = oracles.random_grid(
             seed, rows=3 + seed % 3, cols=4, uncertain=0, directed=directed
         )
@@ -1176,6 +1223,7 @@ def test_greedy_policies_decide_like_an_uncached_search(directed, monkeypatch):
             blocked = sum(1 << b for b in pool if gen.uniform() < 0.4)
             known = net.incident_mask[current] | blocked
             k = KnowledgeState(current, known, blocked)
+            distinct.add(k)
             want = _uncached_greedy(net, sink, k)
             before = len(calls)
             assert replan.decide(k) == want
@@ -1185,7 +1233,7 @@ def test_greedy_policies_decide_like_an_uncached_search(directed, monkeypatch):
                 if i is not None and all(h & ~blocked for h in fixed._hops[i:]):
                     want = traveler._known_open_step(net, k, fixed.route[i + 1])
                 assert fixed.decide(k) == want
-        beliefs += len(replan._memo)
+        beliefs += len(distinct)
     # without the cache each distinct belief would make one search
     assert searches < beliefs
 
