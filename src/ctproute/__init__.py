@@ -77,7 +77,6 @@ from .traveler import (
     default_failure_cost,
     evaluate_policy_exact,
     exact_expected_time,
-    fresh_knowledge,
     make_policy,
     optimal_action,
     simulate_policy,
@@ -125,7 +124,6 @@ __all__ = [
     "evaluate_policy_exact",
     "exact_expected_time",
     "fit_prior",
-    "fresh_knowledge",
     "geodesic_scores",
     "inverse_logit",
     "load_network",

@@ -38,7 +38,6 @@ from .network import RoadNetwork
 class EdgeState(enum.Enum):
     OPEN = "open"
     BLOCKED = "blocked"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -122,10 +121,6 @@ class BlockageModel:
         if extra:
             raise UnknownEdge(f"probabilities for unknown edges: {extra}")
 
-    def uncertain_edges(self) -> tuple[str, ...]:
-        """Edges whose state is genuinely random (0 < p < 1)."""
-        return tuple(e for e, p in self.probabilities.items() if 0.0 < p < 1.0)
-
 
 @dataclass(frozen=True)
 class Realization:
@@ -141,12 +136,6 @@ class Realization:
                     f"realization state for {edge_id!r} must be open or blocked"
                 )
         object.__setattr__(self, "states", states)
-
-    def state(self, edge_id: str) -> EdgeState:
-        try:
-            return self.states[edge_id]
-        except KeyError:
-            raise UnknownEdge(f"realization has no edge {edge_id!r}")
 
 
 # sampled state by blocked flag, so a world's dict is built in one C pass

@@ -24,7 +24,7 @@ each edge, with equal splitting across ties and no normalization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -69,7 +69,6 @@ class CbcResult:
 @dataclass(frozen=True)
 class CentralityTable:
     rows: tuple[CbcResult, ...]
-    config: dict = field(default_factory=dict)
 
 
 def _conditioned_model(
@@ -203,17 +202,7 @@ def canadian_betweenness_all(
         )
         for edge_id in sorted(net.edge_by_id)
     )
-    config = {
-        "source": source,
-        "sink": sink,
-        "mode": mode,
-        "method": method,
-        "failure_handling": failure_handling,
-        "failure_cost": failure_cost,
-        "seed": seed,
-        "replications": replications if method == "monte_carlo" else None,
-    }
-    return CentralityTable(rows=rows, config=config)
+    return CentralityTable(rows=rows)
 
 
 def geodesic_scores(net: RoadNetwork) -> dict[str, float]:

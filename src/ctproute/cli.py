@@ -28,7 +28,7 @@ from .blockage import (
     read_covariates_csv,
     read_probabilities_csv,
 )
-from .errors import CtprouteError, TooManyUncertainEdges, ValidationError
+from .errors import CtprouteError, ParseError, TooManyUncertainEdges, ValidationError
 from .network import RoadNetwork, parse_graph_document
 from .render import csv_text, fmt, render_json
 from .traveler import (
@@ -52,7 +52,10 @@ CAP_HINTS = {
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start} is invalid") from None
 
 
 def _write_text(path: str, text: str) -> None:

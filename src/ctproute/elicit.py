@@ -103,10 +103,9 @@ def logits_from_probabilities(
     values = []
     clamped = []
     for i, p in enumerate(probabilities):
-        if isinstance(p, (int, float)) and not isinstance(p, bool) and math.isfinite(p):
-            if eps < 1.0 and (p < eps or p > 1.0 - eps):
-                clamped.append(i)
-        values.append(logit(float(p), eps))
+        values.append(logit(p, eps))
+        if p < eps or p > 1.0 - eps:
+            clamped.append(i)
     return LogitVector(np.array(values)), tuple(clamped)
 
 

@@ -184,6 +184,8 @@ def parse_graph_document(text: str) -> tuple[RoadNetwork, Optional[dict[str, flo
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"graph document is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("graph document is nested too deeply") from None
     _require(isinstance(doc, dict), "graph document must be a JSON object")
     extra = set(doc) - _DOC_KEYS
     _require(not extra, f"unknown graph document keys: {sorted(extra)}")

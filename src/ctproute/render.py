@@ -12,6 +12,8 @@ import json
 import math
 from typing import Any, Iterable, Sequence
 
+_INDENT = 2  # spaces per JSON nesting level
+
 
 def fmt(x: float) -> str:
     """12 significant digit rendering of a float."""
@@ -28,9 +30,9 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
+def _write(obj: Any, out: list[str], level: int) -> None:
+    pad = " " * (_INDENT * level)
+    inner = " " * (_INDENT * (level + 1))
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -48,7 +50,7 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, item in enumerate(obj):
             out.append(inner)
-            _write(item, out, indent, level + 1)
+            _write(item, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, dict):
@@ -59,15 +61,15 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         items = list(obj.items())
         for i, (key, value) in enumerate(items):
             out.append(inner + json.dumps(str(key)) + ": ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "}")
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-def render_json(obj: Any, indent: int = 2) -> str:
+def render_json(obj: Any) -> str:
     """JSON text with floats at 12 significant digits, newline terminated."""
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out) + "\n"

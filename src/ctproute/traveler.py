@@ -113,39 +113,6 @@ class KnowledgeState(NamedTuple):
     known: int
     blocked: int
 
-    def state(self, net: RoadNetwork, edge_id: str) -> EdgeState:
-        b = net.edge_bit.get(edge_id)
-        if b is None:
-            raise UnknownEdge(f"knowledge has no edge {edge_id!r}")
-        if not self.known >> b & 1:
-            return EdgeState.UNKNOWN
-        return EdgeState.BLOCKED if self.blocked >> b & 1 else EdgeState.OPEN
-
-
-def fresh_knowledge(net: RoadNetwork, start: str) -> KnowledgeState:
-    """Pre reveal state: every edge unknown."""
-    net.require_node(start)
-    return KnowledgeState(start, 0, 0)
-
-
-def reveal(
-    net: RoadNetwork, k: KnowledgeState, node: str, world: Realization
-) -> KnowledgeState:
-    """Set node's undecided incident edges from world.
-
-    Idempotent: re revealing a node changes nothing, and already decided
-    edges are never rewritten.
-    """
-    net.require_node(node)
-    known, blocked = k.known, k.blocked
-    for e in net.incident[node]:
-        bit = 1 << net.edge_bit[e.id]
-        if not known & bit:
-            known |= bit
-            if world.state(e.id) is EdgeState.BLOCKED:
-                blocked |= bit
-    return KnowledgeState(k.current, known, blocked)
-
 
 @dataclass(frozen=True)
 class ExpectedTime:
@@ -165,7 +132,6 @@ class _Instance:
     net: RoadNetwork
     # per edge bit, (blocked bits, weight) of each revealed state, open first
     outcomes: tuple[tuple[tuple[int, float], ...], ...]
-    uncertain: int  # edges with 0 < p < 1
     known: int
     blocked: int
     sink: str
@@ -175,11 +141,10 @@ def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
     """Compile for exact work; an edge of probability 0 or 1 is known.
     The caller has checked the model and the sink."""
     outcomes = []
-    uncertain = known = blocked = 0
+    known = blocked = 0
     for b, e in enumerate(net.edges):
         p = model.probability(e.id)
         if 0.0 < p < 1.0:
-            uncertain |= 1 << b
             outcomes.append(((0, 1.0 - p), (1 << b, p)))
             continue
         known |= 1 << b
@@ -189,7 +154,6 @@ def _compile(net: RoadNetwork, model: BlockageModel, sink: str) -> _Instance:
     return _Instance(
         net=net,
         outcomes=tuple(outcomes),
-        uncertain=uncertain,
         known=known,
         blocked=blocked,
         sink=sink,
@@ -655,10 +619,9 @@ def walk_policy(
     C, become one mask, closed, up front; world edges outside the network
     are ignored. Every known edge was revealed from this world, so an
     arrival ORs the node's incident mask into known and the blocked mask
-    is known & closed, what reveal() gives. A world that lacks a network
-    edge stops the walk at the first arrival that reveals one, and the
-    lowest such bit, the first in incident order, raises reveal()'s
-    UnknownEdge.
+    is known & closed. A world that lacks a network edge stops the walk at
+    the first arrival that reveals one, and the lowest such bit, the first
+    in incident order, raises UnknownEdge.
 
     Centrality's pairs run the same loop (simulate_blocked_and_open): one
     world per pair, walked once up to the first arrival that reveals the
@@ -931,7 +894,7 @@ def evaluate_policy_exact(
             else:
                 node, cost = move
                 rest = incident[node] & ~known
-                if not rest & inst.uncertain:
+                if rest & inst.known == rest:
                     stretch.append((k, cost))
                     known, blocked = known | rest, blocked | rest & inst.blocked
                     continue

@@ -45,3 +45,8 @@ def pinned(
     return BlockageModel(
         {**model.probabilities, **{e: pins[s] for e, s in (states or {}).items()}}
     )
+
+
+def uncertain_edges(model: BlockageModel) -> tuple[str, ...]:
+    """Edges whose state is genuinely random (0 < p < 1), in model order."""
+    return tuple(e for e, p in model.probabilities.items() if 0.0 < p < 1.0)

@@ -12,9 +12,9 @@ The exception is ReferencePlanner, the exact planner as it was written
 before belief states became bitmasks. It reuses the package's graph
 searches and keeps the planner's arithmetic order, so the package must
 match it bit for bit, on directed networks too. Likewise reference_walk
-walks a journey with one reveal() per arrival and checks each chosen
-edge against the Edge tuples of net.outgoing, and walk_policy must match
-it exactly.
+walks a journey with this module's per-edge reveal() per arrival and
+checks each chosen edge against the Edge tuples of net.outgoing, and
+walk_policy, which reveals by masks, must match it exactly.
 """
 
 from __future__ import annotations
@@ -37,13 +37,41 @@ from ctproute import traveler
 from ctproute.traveler import (
     KnowledgeState,
     ReplicateOutcome,
-    fresh_knowledge,
-    reveal,
     walk_policy,
 )
 
 OPEN = "open"
 BLOCKED = "blocked"
+
+
+def reveal(
+    net: RoadNetwork, k: KnowledgeState, node: str, world: Realization
+) -> KnowledgeState:
+    """k with node's undecided incident edges set from world, one edge at
+    a time in incident order; decided edges are never rewritten. A world
+    that lacks one of those edges raises UnknownEdge."""
+    known, blocked = k.known, k.blocked
+    for e in net.incident[node]:
+        bit = 1 << net.edge_bit[e.id]
+        if known & bit:
+            continue
+        state = world.states.get(e.id)
+        if state is None:
+            raise UnknownEdge(f"realization has no edge {e.id!r}")
+        known |= bit
+        if state is EdgeState.BLOCKED:
+            blocked |= bit
+    return KnowledgeState(k.current, known, blocked)
+
+
+def edge_state(
+    net: RoadNetwork, k: KnowledgeState, edge_id: str
+) -> Optional[EdgeState]:
+    """The state k has observed for edge_id, None while it is unknown."""
+    bit = 1 << net.edge_bit[edge_id]
+    if not k.known & bit:
+        return None
+    return EdgeState.BLOCKED if k.blocked & bit else EdgeState.OPEN
 
 
 def edge_ways(net: RoadNetwork, e: Edge) -> tuple[tuple[str, str], ...]:
@@ -181,14 +209,16 @@ class ReferencePlanner:
 
     def base_assignment(self, observed=None) -> dict[str, EdgeState]:
         assignment = dict(self.predecided)
-        for edge_id, s in (observed or {}).items():
-            if s is not EdgeState.UNKNOWN:
-                assignment[edge_id] = s
+        assignment.update(observed or {})
         return assignment
 
     def action(self, knowledge: KnowledgeState) -> Optional[str]:
         """Best target from a knowledge state of the planner's network."""
-        observed = {e.id: knowledge.state(self.net, e.id) for e in self.net.edges}
+        observed = {}
+        for e in self.net.edges:
+            s = edge_state(self.net, knowledge, e.id)
+            if s is not None:
+                observed[e.id] = s
         return self.value(knowledge.current, self.base_assignment(observed))[2]
 
     def value(self, current: str, assignment: dict) -> tuple:
@@ -264,7 +294,7 @@ def reference_walk(
     reveal() and checking every chosen edge by Edge equality."""
     net.require_node(source)
     net.require_node(sink)
-    k = reveal(net, fresh_knowledge(net, source), source, world)
+    k = reveal(net, KnowledgeState(source, 0, 0), source, world)
     time = 0.0
     path = [source]
     max_steps = 4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16
@@ -281,7 +311,7 @@ def reference_walk(
             raise ValidationError(
                 f"policy chose edge {edge_id!r} not leaving {k.current!r}"
             )
-        if k.state(net, edge_id) is not EdgeState.OPEN:
+        if edge_state(net, k, edge_id) is not EdgeState.OPEN:
             raise ValidationError(
                 f"policy tried to traverse edge {edge_id!r} not known open"
             )

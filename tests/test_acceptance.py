@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ctproute.blockage import BlockageModel, CovariateMatrix, EdgeState, sample_realization
+from ctproute.blockage import BlockageModel, CovariateMatrix, sample_realization
 from ctproute.centrality import (
     MODES,
     canadian_betweenness,
@@ -34,14 +34,13 @@ from ctproute.elicit import (
 from ctproute.fixtures import tb_fixture, tri_fixture
 from ctproute.network import Edge, RoadNetwork, shortest_path
 from ctproute.traveler import (
+    KnowledgeState,
     OptimalPolicy,
     default_failure_cost,
     evaluate_policy_exact,
     exact_expected_time,
-    fresh_knowledge,
     make_policy,
     optimal_action,
-    reveal,
     simulate_policy,
     walk_policy,
 )
@@ -84,18 +83,7 @@ def test_fixture_values_exact():
     # at q = 0.5 the gamble through A and the direct road both cost 4.0;
     # documented tie-break: equal-value targets go to the smaller node id
     net, model = tb_fixture(0.5)
-    k = reveal(
-        net,
-        fresh_knowledge(net, "S"),
-        "S",
-        oracles.Realization(
-            states={
-                "sa": EdgeState.OPEN,
-                "at": EdgeState.OPEN,
-                "st": EdgeState.OPEN,
-            }
-        ),
-    )
+    k = KnowledgeState("S", net.incident_mask["S"], 0)  # every road at S open
     assert optimal_action(net, model, k, "T") == "A"
     print(
         "PASS fixture exactness: TRI 10.6, TB(0.25) 3.0, TB(0.75) 4.0, "

@@ -55,12 +55,6 @@ class TestBlockageModel:
                 probabilities={"e1": 0.5, "e2": 0.0, "ghost": 0.1}
             ).validate_for(net)
 
-    def test_uncertain_edges_excludes_certainties(self):
-        model = BlockageModel(
-            probabilities={"a": 0.0, "b": 0.5, "c": 1.0, "d": 0.999}
-        )
-        assert model.uncertain_edges() == ("b", "d")
-
 
 class TestCovariateMatrix:
     def test_valid_matrix(self):
@@ -182,8 +176,8 @@ class TestSampling:
     def test_certain_edges_never_flip(self):
         for stream in range(50):
             world = sample_realization(self.MODEL, seed=1, stream=stream)
-            assert world.state("e3") is EdgeState.OPEN
-            assert world.state("e4") is EdgeState.BLOCKED
+            assert world.states["e3"] is EdgeState.OPEN
+            assert world.states["e4"] is EdgeState.BLOCKED
 
     def test_distinct_streams_differ(self):
         model = BlockageModel(probabilities={f"e{i}": 0.5 for i in range(64)})
@@ -197,9 +191,9 @@ class TestSampling:
             forced = sample_realization(
                 pinned(self.MODEL, {"e1": EdgeState.BLOCKED}), seed=7, stream=stream
             )
-            assert forced.state("e1") is EdgeState.BLOCKED
+            assert forced.states["e1"] is EdgeState.BLOCKED
             for other in ("e2", "e3", "e4"):
-                assert forced.state(other) is free.state(other)
+                assert forced.states[other] is free.states[other]
 
     def test_world_is_the_substream_uniforms_below_each_probability(self):
         # the sampling rule written out per edge; a probability equal to
@@ -225,7 +219,7 @@ class TestSampling:
             world = sample_realization(pinned(model, overrides), 99, stream=stream)
             assert list(world.states.items()) == list(want.items())
             if edge_ids[-1] not in overrides:
-                assert world.state(edge_ids[-1]) is EdgeState.OPEN
+                assert world.states[edge_ids[-1]] is EdgeState.OPEN
 
     @pytest.mark.parametrize(
         "overrides", [None, {"e2": EdgeState.BLOCKED, "e4": EdgeState.OPEN}]
@@ -242,7 +236,7 @@ class TestSampling:
         model = BlockageModel(probabilities={"e": 0.3})
         n = 2000
         blocked = sum(
-            sample_realization(model, seed=11, stream=r).state("e")
+            sample_realization(model, seed=11, stream=r).states["e"]
             is EdgeState.BLOCKED
             for r in range(n)
         )
@@ -251,9 +245,7 @@ class TestSampling:
 
     def test_realization_rejects_unknown_state(self):
         with pytest.raises(ValidationError):
-            Realization(states={"e": EdgeState.UNKNOWN})
-        with pytest.raises(UnknownEdge):
-            Realization(states={}).state("e")
+            Realization(states={"e": "unknown"})
 
 
 @settings(max_examples=50, deadline=None)

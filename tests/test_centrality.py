@@ -380,16 +380,6 @@ class TestWholeTable:
         assert [row.edge_id for row in table.rows] == ["a", "b", "d"]
         assert all(isinstance(row, CbcResult) for row in table.rows)
 
-    def test_config_echoes_the_resolved_settings(self):
-        net, model = tri_fixture()
-        table = canadian_betweenness_all(
-            net, model, "S", "T", mode="others_open", seed=5
-        )
-        assert table.config["mode"] == "others_open"
-        assert table.config["failure_cost"] == 44.0
-        assert table.config["seed"] == 5
-        assert table.config["replications"] is None  # exact method
-
     def test_table_rows_match_single_edge_queries(self):
         # the whole-table call reuses one nominal policy across edges;
         # that optimization must not change any number

@@ -533,6 +533,28 @@ class TestRoute:
         assert rc == 2
         assert "absent.json" in err
 
+    @pytest.mark.parametrize("flag", ["--graph", "--probabilities"])
+    def test_input_file_that_is_not_utf8_rejected(self, capsys, tmp_path, flag):
+        files = {
+            "--graph": tmp_path / "g.json",
+            "--probabilities": tmp_path / "p.csv",
+        }
+        files["--graph"].write_text(TRI_DOC_NO_P, encoding="utf-8")
+        files["--probabilities"].write_text(TRI_PROBS_CSV, encoding="utf-8")
+        # a UTF-16 byte-order mark, or a Latin-1 e-acute in a road name
+        bad = {
+            "--graph": b"\xff\xfe" + TRI_DOC_NO_P.encode("utf-16-le"),
+            "--probabilities": (TRI_PROBS_CSV + "caf\xe9,0\n").encode("latin-1"),
+        }
+        files[flag].write_bytes(bad[flag])
+        argv = ["route", "--source", "S", "--sink", "T"]
+        for name, path in files.items():
+            argv += [name, str(path)]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{files[flag]} is not UTF-8 text" in err
+
 
 GOLDEN_CENTRALITY = (
     "edge_id,mode,method,e_t_blocked,e_t_open,cbc,"

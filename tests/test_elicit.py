@@ -91,6 +91,13 @@ class TestLogit:
         assert P.values[1] == 0.0
         assert P.values[0] == logit(0.0)
 
+    @pytest.mark.parametrize("entries", [[True, 0.5], ["0.5"], [None]])
+    def test_vector_transform_refuses_what_logit_refuses(self, entries):
+        with pytest.raises(DomainError, match="must be a finite number"):
+            logit(entries[0])
+        with pytest.raises(DomainError, match="must be a finite number"):
+            logits_from_probabilities(entries)
+
     def test_logit_vector_validation(self):
         with pytest.raises(DimensionMismatch):
             LogitVector(values=[[0.0]])

@@ -69,6 +69,10 @@ class TestParsing:
         with pytest.raises(ParseError, match="not valid JSON"):
             parse_graph_document("{nope")
 
+    def test_deeply_nested_document_rejected(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_graph_document("[" * 100_000)
+
     def test_non_object_document_rejected(self):
         with pytest.raises(ValidationError, match="JSON object"):
             parse_graph_document("[1, 2]")

@@ -33,14 +33,12 @@ from ctproute.traveler import (
     default_failure_cost,
     evaluate_policy_exact,
     exact_expected_time,
-    fresh_knowledge,
     make_policy,
     optimal_action,
-    reveal,
     simulate_policy,
     walk_policy,
 )
-from helpers import make_network, make_model, pinned
+from helpers import make_network, make_model, pinned, uncertain_edges
 
 ALL_OPEN = {"d": EdgeState.OPEN, "a": EdgeState.OPEN, "b": EdgeState.OPEN}
 
@@ -52,48 +50,46 @@ def tri_world(**states):
 
 
 class TestKnowledge:
+    """The per-edge reveal of the oracles, which reference_walk runs and
+    walk_policy must match exactly."""
+
     def test_fresh_knowledge_knows_nothing(self):
         net, _ = tri_fixture()
-        k = fresh_knowledge(net, "S")
+        k = KnowledgeState("S", 0, 0)
         assert k.current == "S"
         assert (k.known, k.blocked) == (0, 0)
-        assert all(k.state(net, e.id) is EdgeState.UNKNOWN for e in net.edges)
+        assert all(oracles.edge_state(net, k, e.id) is None for e in net.edges)
 
     def test_reveal_decides_exactly_the_incident_edges(self):
         net, _ = tri_fixture()
         world = tri_world(d=EdgeState.BLOCKED)
-        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
-        assert k.state(net, "d") is EdgeState.BLOCKED
-        assert k.state(net, "a") is EdgeState.OPEN
-        assert k.state(net, "b") is EdgeState.UNKNOWN
+        k = oracles.reveal(net, KnowledgeState("S", 0, 0), "S", world)
+        assert oracles.edge_state(net, k, "d") is EdgeState.BLOCKED
+        assert oracles.edge_state(net, k, "a") is EdgeState.OPEN
+        assert oracles.edge_state(net, k, "b") is None
 
     def test_arrival_at_next_node_reveals_its_edges(self):
         net, _ = tri_fixture()
         world = tri_world()
-        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
-        k = reveal(net, k._replace(current="M"), "M", world)
+        k = oracles.reveal(net, KnowledgeState("S", 0, 0), "S", world)
+        k = oracles.reveal(net, k._replace(current="M"), "M", world)
         assert k.current == "M"
-        assert k.state(net, "b") is EdgeState.OPEN
+        assert oracles.edge_state(net, k, "b") is EdgeState.OPEN
 
     def test_reveal_is_idempotent(self):
         net, _ = tri_fixture()
         world = tri_world(d=EdgeState.BLOCKED)
-        once = reveal(net, fresh_knowledge(net, "S"), "S", world)
-        twice = reveal(net, once, "S", world)
+        once = oracles.reveal(net, KnowledgeState("S", 0, 0), "S", world)
+        twice = oracles.reveal(net, once, "S", world)
         assert twice == once
 
     def test_reveal_never_rewrites_a_decided_edge(self):
         net, _ = tri_fixture()
-        k = reveal(net, fresh_knowledge(net, "S"), "S", tri_world())
-        assert k.state(net, "d") is EdgeState.OPEN
+        k = oracles.reveal(net, KnowledgeState("S", 0, 0), "S", tri_world())
+        assert oracles.edge_state(net, k, "d") is EdgeState.OPEN
         contradicting = tri_world(d=EdgeState.BLOCKED)
-        again = reveal(net, k, "S", contradicting)
-        assert again.state(net, "d") is EdgeState.OPEN
-
-    def test_unknown_edge_lookup_raises(self):
-        net, _ = tri_fixture()
-        with pytest.raises(UnknownEdge):
-            fresh_knowledge(net, "S").state(net, "ghost")
+        again = oracles.reveal(net, k, "S", contradicting)
+        assert oracles.edge_state(net, again, "d") is EdgeState.OPEN
 
 
 def _certain_road_beside_uncertain_chain(behind):
@@ -198,53 +194,26 @@ class TestExactExpectedTime:
 class TestOptimalAction:
     def test_tb_initial_move_targets_the_gamble(self):
         net, model = tb_fixture(0.25)
-        k = reveal(
-            net,
-            fresh_knowledge(net, "S"),
-            "S",
-            oracles.Realization(
-                states={
-                    "sa": EdgeState.OPEN,
-                    "at": EdgeState.OPEN,
-                    "st": EdgeState.OPEN,
-                }
-            ),
-        )
+        # every road at S revealed open
+        k = KnowledgeState("S", net.incident_mask["S"], 0)
         assert optimal_action(net, model, k, "T") == "A"
 
     def test_tb_turn_back_after_bad_news(self):
         net, model = tb_fixture(0.25)
-        world = oracles.Realization(
-            states={
-                "sa": EdgeState.OPEN,
-                "at": EdgeState.BLOCKED,
-                "st": EdgeState.OPEN,
-            }
-        )
-        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
-        k = reveal(net, k._replace(current="A"), "A", world)
+        # roads at S and at A revealed, only A-T blocked
+        known = net.incident_mask["S"] | net.incident_mask["A"]
+        k = KnowledgeState("A", known, 1 << net.edge_bit["at"])
         assert optimal_action(net, model, k, "T") == "T"
 
     def test_tie_breaks_toward_lexicographically_smaller_target(self):
         net, model = tb_fixture(0.5)
-        k = reveal(
-            net,
-            fresh_knowledge(net, "S"),
-            "S",
-            oracles.Realization(
-                states={
-                    "sa": EdgeState.OPEN,
-                    "at": EdgeState.OPEN,
-                    "st": EdgeState.OPEN,
-                }
-            ),
-        )
+        k = KnowledgeState("S", net.incident_mask["S"], 0)
         # gamble through A and direct route both cost 4.0 in expectation
         assert optimal_action(net, model, k, "T") == "A"
 
     def test_certain_failure_aborts(self):
         net = make_network([("st", "S", "T", 5.0)])
-        k = fresh_knowledge(net, "S")
+        k = KnowledgeState("S", 0, 0)
         assert optimal_action(net, make_model(st=1.0), k, "T") is None
 
     def test_observation_outranks_a_certain_probability(self):
@@ -252,17 +221,16 @@ class TestOptimalAction:
         # blocked; the action must respect the observation
         net, model = tri_fixture()
         override_model = make_model(d=0.0, a=0.0, b=0.0)
-        world = tri_world(d=EdgeState.BLOCKED)
-        k = reveal(net, fresh_knowledge(net, "S"), "S", world)
+        bit = {e: 1 << b for e, b in net.edge_bit.items()}
+        k = KnowledgeState("S", net.incident_mask["S"], bit["d"])
         assert optimal_action(net, override_model, k, "T") == "T"
         # with the detour also observed blocked, failure is certain
-        worse = tri_world(d=EdgeState.BLOCKED, a=EdgeState.BLOCKED)
-        k2 = reveal(net, fresh_knowledge(net, "S"), "S", worse)
+        k2 = KnowledgeState("S", net.incident_mask["S"], bit["d"] | bit["a"])
         assert optimal_action(net, override_model, k2, "T") is None
 
     def test_at_sink_rejected(self):
         net, model = tri_fixture()
-        k = fresh_knowledge(net, "T")
+        k = KnowledgeState("T", 0, 0)
         with pytest.raises(ValidationError, match="already at the sink"):
             optimal_action(net, model, k, "T")
 
@@ -477,7 +445,7 @@ class TestPolicies:
         net, model = tri_fixture()
         policy = make_policy(kind, net, model, "T", route=("S", "T"))
         with pytest.raises(ValidationError, match="traveler is already at the sink"):
-            policy.decide(fresh_knowledge(net, "T"))
+            policy.decide(KnowledgeState("T", 0, 0))
 
     @pytest.mark.parametrize("kind", ["optimal", "replan", "route", "optimal_action"])
     def test_every_decision_refuses_a_traveler_off_the_network(self, kind):
@@ -557,7 +525,7 @@ class TestExactPolicyEvaluation:
         checked = 0
         for seed in range(20):
             net, model, source, sink = oracles.random_instance(seed)
-            uncertain = model.uncertain_edges()
+            uncertain = uncertain_edges(model)
             if not uncertain:
                 continue
             overrides = {uncertain[0]: EdgeState.BLOCKED}
@@ -589,7 +557,7 @@ class TestExactPolicyEvaluation:
             policies.append(FixedRoutePolicy(net, sink, path.nodes))
         conditions = [None] + [
             {edge: state}
-            for edge in model.uncertain_edges()[:1]
+            for edge in uncertain_edges(model)[:1]
             for state in (EdgeState.BLOCKED, EdgeState.OPEN)
         ]
         for policy in policies:
@@ -825,17 +793,18 @@ def test_knowledge_grows_monotonically_and_matches_the_world(
     for k in recorder.snapshots:
         # every visited node is the current node of some snapshot
         for e in net.incident[k.current]:
-            assert k.state(net, e.id) is not EdgeState.UNKNOWN
+            assert oracles.edge_state(net, k, e.id) is not None
         for edge_id, state in previous.items():
-            assert k.state(net, edge_id) is state  # never reverts or flips
+            # never reverts or flips
+            assert oracles.edge_state(net, k, edge_id) is state
         for e in net.edges:
-            s = k.state(net, e.id)
-            if s is not EdgeState.UNKNOWN:
-                assert s is world.state(e.id)
+            s = oracles.edge_state(net, k, e.id)
+            if s is not None:
+                assert s is world.states[e.id]
         previous = {
-            e.id: k.state(net, e.id)
+            e.id: oracles.edge_state(net, k, e.id)
             for e in net.edges
-            if k.state(net, e.id) is not EdgeState.UNKNOWN
+            if oracles.edge_state(net, k, e.id) is not None
         }
 
 
@@ -887,11 +856,13 @@ def test_fixed_route_follows_the_route_until_a_hop_is_known_blocked(
 
     def hop_known_blocked(k, a, b):
         joining = [e for e in net.outgoing[a] if e.other(a) == b]
-        return all(k.state(net, e.id) is EdgeState.BLOCKED for e in joining)
+        return all(
+            oracles.edge_state(net, k, e.id) is EdgeState.BLOCKED for e in joining
+        )
 
     for stream in range(10):
         world = sample_realization(model, seed, stream=stream)
-        k = reveal(net, fresh_knowledge(net, source), source, world)
+        k = oracles.reveal(net, KnowledgeState(source, 0, 0), source, world)
         while k.current != sink:
             step = fixed.decide(k)
             on_route = k.current in route
@@ -905,7 +876,7 @@ def test_fixed_route_follows_the_route_until_a_hop_is_known_blocked(
             if step is None:
                 break
             nxt = net.edge_by_id[step].other(k.current)
-            k = reveal(net, k._replace(current=nxt), nxt, world)
+            k = oracles.reveal(net, k._replace(current=nxt), nxt, world)
 
 
 PLANNER_VARIANTS = {
@@ -1054,8 +1025,7 @@ def test_planner_cuts_a_reveal_that_cannot_win():
     assert ("X", every, xt) in planner._memo
     assert ("X", every, xy) not in planner._memo
     assert ("X", every, xy | xt) not in planner._memo
-    world = oracles.Realization(states={e.id: EdgeState.OPEN for e in net.edges})
-    k = reveal(net, fresh_knowledge(net, "S"), "S", world)
+    k = KnowledgeState("S", net.incident_mask["S"], 0)  # every road at S open
     assert optimal_action(net, model, k, "T", fc) == reference.action(k) == "T"
 
 
@@ -1292,7 +1262,7 @@ def test_greedy_searches_again_only_when_an_examined_road_changes(monkeypatch):
 def test_every_entry_point_refuses_a_bad_failure_cost(bad):
     net, model = tri_fixture()
     policy = ReplanGreedyPolicy(net, "T")
-    k = fresh_knowledge(net, "S")
+    k = KnowledgeState("S", 0, 0)
     calls = [
         lambda: exact_expected_time(net, model, "S", "T", bad),
         lambda: optimal_action(net, model, k, "T", bad),
