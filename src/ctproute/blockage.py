@@ -6,12 +6,13 @@ come from direct input or from a logistic model on edge covariates:
     log(p_l / (1 - p_l)) = sum_i Z_li * beta_i
 
 A Realization fixes the true open or blocked state of every edge for one
-draw of the world. Replicate r draws the first uniforms u in [0, 1) of
-its stream (rng.uniforms), one per edge in model order, and blocks edge l
-iff u < p_l: one float64 compare, then one C-level pass builds the dict.
-So p_l = 1 blocks the edge in every world and p_l = 0 opens it, and a
-model pinned as {**model.probabilities, edge_id: 1.0} keeps the edge's
-place and, under one seed, every other edge's state.
+draw of the world, as its edge ids in order and the int mask of the
+blocked ones. Replicate r draws the first uniforms u in [0, 1) of its
+stream (rng.uniforms), one per edge in model order, and blocks edge l
+iff u < p_l: one float64 compare, then numpy packs the flags into the
+mask. So p_l = 1 blocks the edge in every world and p_l = 0 opens it,
+and a model pinned as {**model.probabilities, edge_id: 1.0} keeps the
+edge's place and, under one seed, every other edge's state.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -105,6 +106,10 @@ class BlockageModel:
                     f"probability for {edge_id!r} outside [0, 1]: {p!r}"
                 )
         object.__setattr__(self, "probabilities", probs)
+        # what sample_realization draws against, built once: a model is
+        # not changed after it is built
+        p_vector = np.fromiter(probs.values(), float, len(probs))
+        object.__setattr__(self, "_draw", (tuple(probs), p_vector))
 
     def probability(self, edge_id: str) -> float:
         try:
@@ -122,24 +127,38 @@ class BlockageModel:
             raise UnknownEdge(f"probabilities for unknown edges: {extra}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Realization:
-    """True state of every edge for one sampled world."""
+    """True state of every edge for one sampled world: edge_ids, the
+    world's edges in order, and the int mask blocked, whose bit i is set
+    iff edge_ids[i] is blocked. Two worlds are equal when their states
+    are, in whatever order they list the edges."""
 
-    states: Mapping[str, EdgeState] = field(default_factory=dict)
+    edge_ids: tuple[str, ...]
+    blocked: int
 
-    def __post_init__(self) -> None:
-        states = dict(self.states)
-        for edge_id, s in states.items():
+    def __init__(self, states: Mapping[str, EdgeState] = {}) -> None:
+        states = dict(states)
+        blocked = 0
+        for i, (edge_id, s) in enumerate(states.items()):
             if s not in (EdgeState.OPEN, EdgeState.BLOCKED):
                 raise ValidationError(
                     f"realization state for {edge_id!r} must be open or blocked"
                 )
-        object.__setattr__(self, "states", states)
+            blocked |= (s is EdgeState.BLOCKED) << i
+        object.__setattr__(self, "edge_ids", tuple(states))
+        object.__setattr__(self, "blocked", blocked)
 
+    @property
+    def states(self) -> dict[str, EdgeState]:
+        """A fresh dict of each edge's state, in the world's edge order."""
+        blocked, states = self.blocked, (EdgeState.OPEN, EdgeState.BLOCKED)
+        return {e: states[blocked >> i & 1] for i, e in enumerate(self.edge_ids)}
 
-# sampled state by blocked flag, so a world's dict is built in one C pass
-_STATES = (EdgeState.OPEN, EdgeState.BLOCKED)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Realization):
+            return NotImplemented
+        return self.states == other.states
 
 
 def expit(logits: "np.ndarray | float") -> np.ndarray:
@@ -173,24 +192,28 @@ def sample_realization(
     list the same edges in the same order, such as a model and a copy
     that pins one edge at 0 or 1, share every other edge's state under
     one seed. `stream` selects the replicate substream, see the rng
-    module for the split rule.
+    module for the split rule. The world lists its edges in model order
+    and holds the packed u < p flags as its blocked mask; no per-edge
+    dict is built until world.states is read.
     """
-    probs = model.probabilities
-    n = len(probs)
-    uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, n)
-    blocked = uniforms < np.fromiter(probs.values(), float, n)
-    states = dict(zip(probs, map(_STATES.__getitem__, blocked.tolist())))
-    # every state is one of the two members, so the world skips
-    # Realization's copy and re-check
+    edge_ids, p = model._draw
+    uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, len(edge_ids))
+    packed = np.packbits(uniforms < p, bitorder="little")
+    # the states are valid by construction, so the world skips
+    # Realization's check
     world = object.__new__(Realization)
-    object.__setattr__(world, "states", states)
+    object.__setattr__(world, "edge_ids", edge_ids)
+    object.__setattr__(world, "blocked", int.from_bytes(packed, "little"))
     return world
 
 
 def csv_table(text: str) -> tuple[list[str], list[list[str]]]:
     """(header, rows) of a CSV text: the first non-empty row with its
     cells stripped, then the non-empty rows after it."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ParseError(f"bad CSV: {exc}") from None
     if not rows:
         return [], []
     return [c.strip() for c in rows[0]], rows[1:]

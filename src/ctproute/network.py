@@ -112,6 +112,11 @@ class RoadNetwork:
         return {e.id: b for b, e in enumerate(self.edges)}
 
     @cached_property
+    def edge_ids(self) -> tuple[str, ...]:
+        """The edge ids in bit order."""
+        return tuple(self.edge_bit)
+
+    @cached_property
     def outgoing(self) -> dict[str, tuple[Edge, ...]]:
         """Edges traversable away from each node (both ways if undirected)."""
         adj: dict[str, list[Edge]] = {n: [] for n in self.nodes}

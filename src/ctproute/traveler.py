@@ -13,10 +13,11 @@ A belief, KnowledgeState, is the tuple (node name, known mask, blocked
 mask): edge b is bit b of a mask (net.edge_bit), known holds the edges
 observed so far and blocked those of them observed blocked. The planner,
 the policies, the walk and the exact evaluator all key on it and read
-graph structure from the network's cached tables; a walk reads its world
-once, into the mask of the world's blocked edges, and then carries masks
-only. The knowledge holds observations only; the planner folds the edges
-of probability 0 or 1 in when it plans, with observations winning, so
+graph structure from the network's cached tables; a walk takes its
+world's blocked mask, read once into network bit order when the world
+lists its edges in another order, and then carries masks only. The
+knowledge holds observations only; the planner folds the edges of
+probability 0 or 1 in when it plans, with observations winning, so
 policies that do not plan never act on a model certainty.
 
 From a belief the planner either travels to the sink over known open
@@ -35,18 +36,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .blockage import (
-    BlockageModel,
-    EdgeState,
-    Realization,
-    sample_realization,
-)
+from .blockage import BlockageModel, Realization, sample_realization
 from .errors import (
     BadRoute,
     TooManyUncertainEdges,
@@ -615,13 +610,14 @@ def walk_policy(
     and the exact evaluator call policy.decide once per distinct belief
     per policy and network, and replay its checked move after that.
 
-    The walk reads masks only. The world's blocked entries, picked out in
-    C, become one mask, closed, up front; world edges outside the network
-    are ignored. Every known edge was revealed from this world, so an
-    arrival ORs the node's incident mask into known and the blocked mask
-    is known & closed. A world that lacks a network edge stops the walk at
-    the first arrival that reveals one, and the lowest such bit, the first
-    in incident order, raises UnknownEdge.
+    The walk reads masks only. A world listed in the network's edge
+    order is walked on its blocked mask as it is; any other is read once
+    into closed, the mask of its blocked network edges, ignoring its
+    edges outside the network. Every known edge was revealed from this
+    world, so an arrival ORs the node's incident mask into known and the
+    blocked mask is known & closed. A world that lacks a network edge
+    stops the walk at the first arrival that reveals one, and the lowest
+    such bit, the first in incident order, raises UnknownEdge.
 
     Centrality's pairs run the same loop (simulate_blocked_and_open): one
     world per pair, walked once up to the first arrival that reveals the
@@ -630,12 +626,9 @@ def walk_policy(
     """
     net.require_node(source)
     net.require_node(sink)
-    bit, states = net.edge_bit, world.states
-    unseen = 0
-    if not states.keys() >= bit.keys():
-        unseen = ~sum(1 << b for b in map(bit.get, states) if b is not None)
+    closed, unseen = _world_masks(net, world)
     at = _walk(
-        net, _closed_mask(net, world), policy, sink, failure_cost,
+        net, closed, policy, sink, failure_cost,
         _start(net, source), [source], unseen,
     )
     if isinstance(at, ReplicateOutcome):
@@ -645,17 +638,19 @@ def walk_policy(
     raise UnknownEdge(f"realization has no edge {edge_id!r}")
 
 
-def _closed_mask(net: RoadNetwork, world: Realization) -> int:
-    """The mask of the world's blocked network edges."""
-    bit, states = net.edge_bit, world.states
-    closed = 0
-    for edge_id in itertools.compress(
-        states, map(operator.is_, states.values(), itertools.repeat(EdgeState.BLOCKED))
-    ):
+def _world_masks(net: RoadNetwork, world: Realization) -> tuple[int, int]:
+    """(closed, unseen): the masks of the world's blocked network edges
+    and of the network edges the world lacks."""
+    if world.edge_ids == net.edge_ids:
+        return world.blocked, 0
+    bit, blocked = net.edge_bit, world.blocked
+    closed = seen = 0
+    for i, edge_id in enumerate(world.edge_ids):
         b = bit.get(edge_id)
         if b is not None:
-            closed |= 1 << b
-    return closed
+            seen |= 1 << b
+            closed |= (blocked >> i & 1) << b
+    return closed, ~seen
 
 
 def _start(net: RoadNetwork, source: str) -> tuple[str, int, float, int]:
@@ -821,7 +816,7 @@ def simulate_blocked_and_open(
     o_failed = np.empty(replications, dtype=bool)
     for r in range(replications):
         # a world of a validated model holds every network edge
-        closed = _closed_mask(net, sample_realization(model, seed, stream=r)) & ~bit
+        closed = _world_masks(net, sample_realization(model, seed, stream=r))[0] & ~bit
         path = [source]
         at = _walk(net, closed, policy, sink, failure_cost, start, path, bit)
         if isinstance(at, ReplicateOutcome):

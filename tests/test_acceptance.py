@@ -7,7 +7,6 @@ prints the measured slack for the record.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import time
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ctproute.blockage import BlockageModel, CovariateMatrix, sample_realization
+from ctproute.blockage import CovariateMatrix, sample_realization
 from ctproute.centrality import (
     MODES,
     canadian_betweenness,
@@ -25,7 +24,6 @@ from ctproute.centrality import (
 )
 from ctproute.cli import main
 from ctproute.elicit import (
-    BetaSample,
     LogitVector,
     fit_prior,
     pushforward_probabilities,

@@ -201,7 +201,9 @@ class TestSampling:
         # probabilities too
         gen = np.random.default_rng(3)
         for stream in range(40):
-            edge_ids = [f"e{i}" for i in range(int(gen.integers(1, 12)))]
+            # up to 70 roads, listed out of name order: masks of more
+            # than one 64-bit word
+            edge_ids = [f"e{i}" for i in gen.permutation(int(gen.integers(1, 70)))]
             probs = {e: float(gen.choice((0.0, 0.2, 0.5, 0.9, 1.0))) for e in edge_ids}
             probs[edge_ids[0]] = int(gen.integers(2))
             uniforms = rng.substream(99, rng.REALIZATIONS, stream).random(len(probs))
@@ -218,6 +220,9 @@ class TestSampling:
             model = BlockageModel(probabilities=probs)
             world = sample_realization(pinned(model, overrides), 99, stream=stream)
             assert list(world.states.items()) == list(want.items())
+            assert world.edge_ids == tuple(edge_ids)
+            blocked = [s is EdgeState.BLOCKED for s in want.values()]
+            assert world.blocked == sum(1 << i for i, b in enumerate(blocked) if b)
             if edge_ids[-1] not in overrides:
                 assert world.states[edge_ids[-1]] is EdgeState.OPEN
 
@@ -244,8 +249,22 @@ class TestSampling:
         assert abs(blocked / n - 0.3) < 4 * math.sqrt(0.3 * 0.7 / n)
 
     def test_realization_rejects_unknown_state(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(
+            ValidationError, match="realization state for 'e' must be open or blocked"
+        ):
             Realization(states={"e": "unknown"})
+
+    def test_realization_is_immutable_and_equal_in_any_order(self):
+        a = Realization(states={"x": EdgeState.BLOCKED, "y": EdgeState.OPEN})
+        b = Realization(states={"y": EdgeState.OPEN, "x": EdgeState.BLOCKED})
+        assert a == b and a.edge_ids != b.edge_ids
+        assert a != Realization(states={"x": EdgeState.OPEN, "y": EdgeState.OPEN})
+        assert a != Realization(states={"x": EdgeState.BLOCKED})
+        with pytest.raises(AttributeError):
+            a.blocked = 0
+        # states is a fresh dict on each read
+        a.states["x"] = EdgeState.OPEN
+        assert a.states["x"] is EdgeState.BLOCKED
 
 
 @settings(max_examples=50, deadline=None)

@@ -555,6 +555,27 @@ class TestRoute:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{files[flag]} is not UTF-8 text" in err
 
+    @pytest.mark.parametrize("flag", ["--probabilities", "--covariates", "--expert"])
+    def test_csv_field_above_the_csv_field_limit_rejected(
+        self, capsys, tmp_path, flag
+    ):
+        # one quoted field of 200,000 characters; the csv module refuses
+        # fields over 131,072 by default
+        big, graph, cov = tmp_path / "big.csv", tmp_path / "g.json", tmp_path / "z.csv"
+        big.write_text(f'edge_id,p\n"{"x" * 200_000}",0.5\n', encoding="utf-8")
+        graph.write_text(TRI_DOC_NO_P, encoding="utf-8")
+        cov.write_text("edge_id,bias\nd,1\na,1\nb,1\n", encoding="utf-8")
+        route = ["route", "--graph", str(graph), "--source", "S", "--sink", "T"]
+        argv = {
+            "--probabilities": route + ["--probabilities", str(big)],
+            "--covariates": route + ["--covariates", str(big), "--beta", "1"],
+            "--expert": ["elicit", "--covariates", str(cov), "--expert", str(big)],
+        }[flag]
+        rc, out, err = run(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "field larger than field limit" in err
+
 
 GOLDEN_CENTRALITY = (
     "edge_id,mode,method,e_t_blocked,e_t_open,cbc,"

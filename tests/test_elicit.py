@@ -18,7 +18,6 @@ from ctproute.elicit import (
     BetaPrior,
     BetaSample,
     LogitVector,
-    DEFAULT_EPS,
     expert_csv_form,
     fit_prior,
     inverse_logit,

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import oracles
 from ctproute import traveler
-from ctproute.blockage import BlockageModel, EdgeState, sample_realization
+from ctproute.blockage import (
+    BlockageModel,
+    EdgeState,
+    Realization,
+    sample_realization,
+)
 from ctproute.centrality import canadian_betweenness, canadian_betweenness_all
 from ctproute.errors import (
     BadRoute,
@@ -1124,6 +1129,30 @@ def test_world_edges_outside_the_network_change_no_walk(variant):
                 wider = oracles.Realization({**foreign, **world.states})
                 got = walk_policy(net, wider, policy, source, sink, fc)
                 assert got == walk_policy(net, world, policy, source, sink, fc), kind
+
+
+@pytest.mark.parametrize("variant", WALK_VARIANTS)
+def test_a_world_walks_alike_in_any_edge_order(variant):
+    # worlds sampled from the model and from a copy listing its roads in
+    # another order, each walked as sampled, rebuilt from its states,
+    # and listed backwards, against the reveal walk of the same states
+    for seed in range(8):
+        net, model, source, sink = WALK_VARIANTS[variant](seed)
+        fc = default_failure_cost(net)
+        ids = list(model.probabilities)
+        order = np.random.default_rng(seed).permutation(len(ids))
+        shuffled = BlockageModel({ids[i]: model.probabilities[ids[i]] for i in order})
+        for kind, make in _walk_policies(net, model, source, sink, fc).items():
+            policy = make()
+            for r in range(4):
+                for m in (model, shuffled):
+                    world = sample_realization(m, seed, stream=r)
+                    states = world.states
+                    backwards = dict(reversed(states.items()))
+                    want = oracles.reference_walk(net, world, make(), source, sink, fc)
+                    for w in (world, Realization(states), Realization(backwards)):
+                        got = walk_policy(net, w, policy, source, sink, fc)
+                        assert got == want, kind
 
 
 @pytest.mark.parametrize("variant", WALK_VARIANTS)
