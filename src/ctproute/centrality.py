@@ -11,10 +11,8 @@ world, so the policy discovers the forced state on arrival like any
 other observation. Whether the other edges stay random or are forced
 open is the analyst's choice (the mode).
 
-Monte Carlo estimates both terms on common random numbers: replicate r
-of the pair samples one world and walks it once, up to the first arrival
-that reveals e, then forks into a copy with e blocked and one with e
-open. A walk that ends before e is revealed counts for both terms.
+Monte Carlo estimates both terms on common random numbers, one world
+per replicate pair (see traveler.simulate_blocked_and_open).
 
 A deterministic geodesic edge betweenness is included as a baseline:
 over unordered node pairs, the fraction of minimum cost paths through

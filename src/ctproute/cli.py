@@ -42,11 +42,11 @@ from .traveler import (
 DEFAULT_REPS = 10000
 # advice, per subcommand that runs the exact planner, when it refuses:
 # Monte Carlo of the optimal policy still plans at every decision, so
-# only a policy that does not plan avoids the cap
+# only a policy that does not plan stays within the belief budget
 CAP_HINTS = {
     "route": "use simulate --policy replan",
-    "centrality": "no centrality method runs past the cap, since centrality "
-    "always plans the optimal policy",
+    "centrality": "no centrality method runs past the belief budget, since "
+    "centrality always plans the optimal policy",
     "simulate": "use --policy replan",
 }
 
@@ -433,7 +433,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CtprouteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

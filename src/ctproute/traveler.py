@@ -606,9 +606,10 @@ def walk_policy(
     """Run one deterministic journey through a fully realized world.
 
     Pure function of (world, policy): replicate r of a simulation can be
-    reproduced in isolation by sampling world r and calling this. Walks
-    and the exact evaluator call policy.decide once per distinct belief
-    per policy and network, and replay its checked move after that.
+    reproduced in isolation by sampling world r and calling this, and a
+    simulation calls it once per distinct world. Walks and the exact
+    evaluator call policy.decide once per distinct belief per policy and
+    network, and replay its checked move after that.
 
     The walk reads masks only. A world listed in the network's edge
     order is walked on its blocked mask as it is; any other is read once
@@ -618,11 +619,6 @@ def walk_policy(
     blocked mask is known & closed. A world that lacks a network edge
     stops the walk at the first arrival that reveals one, and the lowest
     such bit, the first in incident order, raises UnknownEdge.
-
-    Centrality's pairs run the same loop (simulate_blocked_and_open): one
-    world per pair, walked once up to the first arrival that reveals the
-    conditioned edge, then forked into a copy with the edge blocked and
-    one with it open.
     """
     net.require_node(source)
     net.require_node(sink)
@@ -767,12 +763,19 @@ def simulate_policy(
 
     Replicate r draws its world from substream (seed, r), so output is
     independent of batching and worker count, and reruns are identical.
+    Each distinct world is walked once; a replicate whose blocked mask
+    repeats copies the outcome of the first replicate that drew it.
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
     times = np.empty(replications, dtype=float)
     failed = np.empty(replications, dtype=bool)
+    first: dict[int, int] = {}
     for r in range(replications):
         world = sample_realization(model, seed, stream=r)
+        r0 = first.setdefault(world.blocked, r)
+        if r0 != r:
+            times[r], failed[r] = times[r0], failed[r0]
+            continue
         outcome = walk_policy(net, world, policy, source, sink, failure_cost)
         times[r] = outcome.travel_time
         failed[r] = outcome.failed
@@ -800,11 +803,10 @@ def simulate_blocked_and_open(
     open, on common random numbers: equal to the two runs whose model
     pins edge_id at 1 and at 0.
 
-    Replicate r samples its world once and walks it once, up to the first
-    arrival that reveals edge_id; until then the two runs see the same
-    roads and make the same moves. From there one copy goes on with the
-    edge blocked and one with it open, each with the steps left. A walk
-    that ends before the edge is revealed counts for both runs.
+    Each distinct world, edge_id aside, is walked once up to the first
+    arrival that reveals edge_id, then forked into a copy with the edge
+    blocked and one with it open; a walk that ends first counts for both
+    runs. A replicate whose world repeats copies the first one's pair.
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
     if edge_id not in net.edge_bit:
@@ -814,9 +816,15 @@ def simulate_blocked_and_open(
     b_times, o_times = np.empty(replications), np.empty(replications)
     b_failed = np.empty(replications, dtype=bool)
     o_failed = np.empty(replications, dtype=bool)
+    first: dict[int, int] = {}
     for r in range(replications):
         # a world of a validated model holds every network edge
         closed = _world_masks(net, sample_realization(model, seed, stream=r))[0] & ~bit
+        r0 = first.setdefault(closed, r)
+        if r0 != r:
+            b_times[r], b_failed[r] = b_times[r0], b_failed[r0]
+            o_times[r], o_failed[r] = o_times[r0], o_failed[r0]
+            continue
         path = [source]
         at = _walk(net, closed, policy, sink, failure_cost, start, path, bit)
         if isinstance(at, ReplicateOutcome):

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from ctproute import rng, traveler
-from ctproute.blockage import EdgeState
+from ctproute.blockage import BlockageModel, EdgeState
 from ctproute.centrality import (
     CSV_HEADER,
     FAILURE_HANDLING,
@@ -33,6 +33,7 @@ from ctproute.traveler import (
     Policy,
     ReplanGreedyPolicy,
     default_failure_cost,
+    exact_expected_time,
     simulate_blocked_and_open,
     simulate_policy,
 )
@@ -172,6 +173,39 @@ class TestExactCentrality:
         )
         for a, b in zip(base.rows, scaled.rows):
             assert b.cbc == pytest.approx(lam * a.cbc, abs=1e-9)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_cbc_is_the_slope_of_the_optimal_value(self, directed):
+        # g(q), the optimal value with road e's probability set to q, is
+        # the minimum of the policies' values, each linear in q; the
+        # nominal policy's line touches g at p and has slope cbc(e), so
+        # g's forward difference quotient is at most cbc and its backward
+        # one at least cbc, kinks included; a road at 0 has one side
+        for seed in range(20):
+            net, model, source, sink = oracles.random_grid(
+                seed, rows=3, cols=3, uncertain=4, directed=directed
+            )
+            fc = default_failure_cost(net)
+            probs = model.probabilities
+
+            def g(edge_id, q):
+                m = BlockageModel({**probs, edge_id: q})
+                return exact_expected_time(net, m, source, sink, fc).value
+
+            table = canadian_betweenness_all(net, model, source, sink, failure_cost=fc)
+            for row in table.rows:
+                p = probs[row.edge_id]
+                at_p = g(row.edge_id, p)
+                for h in (1e-3, 0.2):
+                    for side in (1, -1):
+                        q = p + side * h
+                        if not 0.0 <= q <= 1.0:
+                            continue
+                        at_q = g(row.edge_id, q)
+                        # the quotient's rounding error, a few ulps of g over h
+                        tol = 4 * math.ulp(max(abs(at_p), abs(at_q))) / h
+                        slope = side * (at_q - at_p) / h
+                        assert side * (slope - row.cbc) <= tol, (seed, row, h)
 
 
 class TestMonteCarloCentrality:
@@ -316,7 +350,8 @@ class TestMonteCarloCentrality:
 
     def test_pair_walks_once_while_the_road_stays_unseen(self, monkeypatch):
         # the direct road d never fails, so no walk reaches M and its road
-        # x: each replicate is one walk of one step, shared by both runs
+        # x: each world is one walk of one step, shared by both runs, and
+        # the uncertain roads a and b other than x give four worlds
         net = make_network(
             [
                 ("d", "S", "T", 10.0),
@@ -338,7 +373,7 @@ class TestMonteCarloCentrality:
         blocked, opened = simulate_blocked_and_open(
             net, model, policy, "S", "T", "x", 50, 3, 20.0
         )
-        assert len(walks) == 50 and policy.nodes == {"S"}
+        assert len(walks) == 4 and policy.nodes == {"S"}
         assert np.all(blocked.times == 10.0) and np.all(opened.times == 10.0)
 
 

@@ -309,7 +309,7 @@ class TestRoute:
         assert rc == 3 and out == ""
         assert "--method mc" not in err
         if subcommand == "centrality":
-            assert "no centrality method runs past the cap" in err
+            assert "no centrality method runs past the belief budget" in err
             return
         # the hinted command runs on the same graph
         hint = err.rstrip().rsplit("(use ", 1)[1].rstrip(")").split()
@@ -357,7 +357,7 @@ class TestRoute:
             assert rc == 3 and out == ""
             assert "--method mc" not in err
             hints[subcommand] = err.rstrip().rsplit("(", 1)[1].rstrip(")")
-        assert hints["centrality"].startswith("no centrality method runs past the cap")
+        assert hints["centrality"].startswith("no centrality method runs past the belief budget")
         assert hints["route"] == "use simulate --policy replan"
         proc = subprocess.run(
             [
@@ -998,6 +998,31 @@ def test_inputs_with_a_byte_order_mark_read_as_plain(capsys, tmp_path):
             # the echoed paths differ by their folder only
             outs[encoding].append(out.replace(str(folder), ""))
     assert outs["utf-8-sig"] == outs["utf-8"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["simulate", "route --method mc", "centrality --method mc", "elicit --pushforward"],
+)
+def test_unallocatable_reps_exit_2_with_one_line(capsys, tmp_path, command):
+    # 2**55 replicates is a valid stream index, but its per-replicate
+    # arrays are past any 64-bit address space, so allocation fails at once
+    graph, cov, expert = tmp_path / "g.json", tmp_path / "z.csv", tmp_path / "x.csv"
+    out_file, push = tmp_path / "out", tmp_path / "push.csv"
+    graph.write_text(TRI_DOC, encoding="utf-8")
+    cov.write_text(ELICIT_COV, encoding="utf-8")
+    expert.write_text(ELICIT_POINT, encoding="utf-8")
+    if command == "elicit --pushforward":
+        argv = ["elicit", "--covariates", str(cov), "--expert", str(expert),
+                "--pushforward", str(push)]
+    else:
+        argv = [*command.split(), "--graph", str(graph), "--source", "S",
+                "--sink", "T", "--output", str(out_file)]
+    rc, out, err = run(capsys, [*argv, "--reps", str(2**55)])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "allocate" in err
+    assert not out_file.exists() and not push.exists()
 
 
 class TestConsoleScript:

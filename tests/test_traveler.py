@@ -1180,6 +1180,80 @@ def test_simulation_decides_each_belief_once(variant):
             assert set(shared.snapshots) == walked, kind
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_simulation_walks_each_distinct_world_once(directed, monkeypatch):
+    # 4 uncertain roads give at most 16 worlds, so 40 replicates repeat
+    # some; a repeat must copy the first outcome without a walk, and a
+    # world that differs on any road must get its own walk
+    reps = 40
+    walked, pair_walks = [], []
+    walk, step = traveler.walk_policy, traveler._walk
+
+    def recording_walk(net, world, *args):
+        walked.append(world.blocked)
+        return walk(net, world, *args)
+
+    def recording_step(*args):
+        if args[-1]:  # the walk up to the conditioned road, not a fork
+            pair_walks.append(args[1])
+        return step(*args)
+
+    monkeypatch.setattr(traveler, "walk_policy", recording_walk)
+    monkeypatch.setattr(traveler, "_walk", recording_step)
+    kinds_seen = set()
+    for seed in range(6):
+        net, model, source, sink = oracles.random_grid(
+            seed, rows=3, cols=3, uncertain=4, directed=directed
+        )
+        fc = default_failure_cost(net)
+        roads = uncertain_edges(model)
+        ids = list(model.probabilities)
+        order = np.random.default_rng(seed).permutation(len(ids))
+        models = {
+            "nominal": model,
+            "pinned": pinned(
+                model, {roads[0]: EdgeState.BLOCKED, roads[1]: EdgeState.OPEN}
+            ),
+            "shuffled": BlockageModel(
+                {ids[i]: model.probabilities[ids[i]] for i in order}
+            ),
+        }
+        for kind, make in _walk_policies(net, model, source, sink, fc).items():
+            kinds_seen.add(kind)
+            for name, m in models.items():
+                worlds = [sample_realization(m, seed, stream=r) for r in range(reps)]
+                distinct = list(dict.fromkeys(w.blocked for w in worlds))
+                assert len(distinct) < reps
+                walked.clear()
+                dist = simulate_policy(net, m, make(), source, sink, reps, seed, fc)
+                assert walked == distinct, (kind, name)
+                reference = make()
+                outcomes = [walk(net, w, reference, source, sink, fc) for w in worlds]
+                assert dist.times.tolist() == [o.travel_time for o in outcomes]
+                assert dist.failed.tolist() == [o.failed for o in outcomes]
+            m = models["shuffled"]
+            for road in roads:
+                bit = 1 << net.edge_bit[road]
+                pair_walks.clear()
+                runs = traveler.simulate_blocked_and_open(
+                    net, m, make(), source, sink, road, reps, seed, fc
+                )
+                closed = [
+                    traveler._world_masks(net, sample_realization(m, seed, stream=r))[0]
+                    & ~bit
+                    for r in range(reps)
+                ]
+                assert pair_walks == list(dict.fromkeys(closed)), (kind, road)
+                for state, got in zip((EdgeState.BLOCKED, EdgeState.OPEN), runs):
+                    want = simulate_policy(
+                        net, pinned(m, {road: state}), make(), source, sink,
+                        reps, seed, fc,
+                    )
+                    assert got.times.tolist() == want.times.tolist()
+                    assert got.failed.tolist() == want.failed.tolist()
+    assert kinds_seen == {"optimal", "replan", "route"}
+
+
 def _uncached_greedy(net, sink, k):
     """The greedy decision by one fresh search."""
     path = shortest_path(net, k.current, sink, ~k.blocked)
