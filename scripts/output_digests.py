@@ -2,8 +2,9 @@
 """Print the sha256 of every benchmark operation's output, as JSON.
 
 Builds one workload's operations with the benchmark's generator, runs each
-through its CLI runner and prints one JSON (kind, sha256, problems) line per
-operation. Two checkouts that give the same rows print the same bytes for
+through its CLI runner and prints one JSON (kind, sha256, argv, problems)
+line per operation, the argv with the paths of its files cut to their
+names, so that a changed digest names the operation it belongs to. Two checkouts that give the same rows print the same bytes for
 every operation, wherever they sit: some outputs name the files they
 wrote, so the default --workdir is one fixed absolute directory,
 ctproute-digests under the system temporary directory, and a --workdir
@@ -37,10 +38,12 @@ import workloads  # noqa: E402
 cli = run.import_program(Path.cwd())
 workdir = args.workdir / args.workload
 workdir.mkdir(parents=True, exist_ok=True)
+workdir = workdir.resolve()
 failed = 0
-for op in workloads.build(args.workload, args.seed, workdir.resolve()):
+for op in workloads.build(args.workload, args.seed, workdir):
     _, problems, digest = run.run_op(cli, op)
-    print(json.dumps((op.kind, digest, problems)))
+    argv = [Path(a).name if a.startswith(str(workdir)) else a for a in op.argv]
+    print(json.dumps((op.kind, digest, argv, problems)))
     failed += bool(problems)
 if failed:
     print(f"{failed} operations reported problems", file=sys.stderr)

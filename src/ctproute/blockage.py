@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -106,10 +107,16 @@ class BlockageModel:
                     f"probability for {edge_id!r} outside [0, 1]: {p!r}"
                 )
         object.__setattr__(self, "probabilities", probs)
-        # what sample_realization draws against, built once: a model is
-        # not changed after it is built
-        p_vector = np.fromiter(probs.values(), float, len(probs))
-        object.__setattr__(self, "_draw", (tuple(probs), p_vector))
+
+    @functools.cached_property
+    def _draw(self) -> tuple:
+        """(edge ids, probabilities, the one world if every edge is at 0 or
+        1, as u in [0, 1) makes u < 0 false and u < 1 true), built at the
+        first draw: a model is not changed after it is built."""
+        probs = self.probabilities
+        edge_ids, p = tuple(probs), np.fromiter(probs.values(), float, len(probs))
+        certain = set(probs.values()) <= {0, 1}
+        return edge_ids, p, _packed_world(edge_ids, p == 1.0) if certain else None
 
     def probability(self, edge_id: str) -> float:
         try:
@@ -194,13 +201,19 @@ def sample_realization(
     one seed. `stream` selects the replicate substream, see the rng
     module for the split rule. The world lists its edges in model order
     and holds the packed u < p flags as its blocked mask; no per-edge
-    dict is built until world.states is read.
+    dict is built until world.states is read. A model with every edge at
+    0 or 1 returns its one world, built at its first draw, drawing nothing.
     """
-    edge_ids, p = model._draw
+    edge_ids, p, fixed = model._draw
+    if fixed is not None:
+        return fixed
     uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, len(edge_ids))
-    packed = np.packbits(uniforms < p, bitorder="little")
-    # the states are valid by construction, so the world skips
-    # Realization's check
+    return _packed_world(edge_ids, uniforms < p)
+
+
+def _packed_world(edge_ids: tuple[str, ...], flags: np.ndarray) -> Realization:
+    """The world blocking edge_ids[i] iff flags[i], built valid."""
+    packed = np.packbits(flags, bitorder="little")
     world = object.__new__(Realization)
     object.__setattr__(world, "edge_ids", edge_ids)
     object.__setattr__(world, "blocked", int.from_bytes(packed, "little"))

@@ -226,6 +226,36 @@ class TestSampling:
             if edge_ids[-1] not in overrides:
                 assert world.states[edge_ids[-1]] is EdgeState.OPEN
 
+    def test_a_certain_model_draws_no_uniform(self, monkeypatch):
+        # u in [0, 1) blocks a road at 1 and opens one at 0 in every draw,
+        # so a model with no uncertain road returns its one world without
+        # drawing; the world must be the one the draw would give
+        calls = []
+        uniforms = rng.uniforms
+
+        def counting(*args):
+            calls.append(args)
+            return uniforms(*args)
+
+        monkeypatch.setattr(rng, "uniforms", counting)
+        gen = np.random.default_rng(5)
+        edge_ids = [f"e{i}" for i in gen.permutation(70)]
+        probs = {e: float(gen.integers(2)) for e in edge_ids}
+        probs[edge_ids[0]] = 1  # an int probability is certain too
+        model = BlockageModel(probabilities=probs)
+        for stream in range(5):
+            drawn = rng.substream(8, rng.REALIZATIONS, stream).random(len(probs))
+            want = Realization(states={
+                e: EdgeState.BLOCKED if u < p else EdgeState.OPEN
+                for (e, p), u in zip(probs.items(), drawn)
+            })
+            world = sample_realization(model, 8, stream=stream)
+            assert world == want and world.edge_ids == tuple(edge_ids)
+            assert world.blocked == want.blocked
+        assert calls == []
+        sample_realization(BlockageModel({**probs, edge_ids[1]: 0.5}), 8, stream=0)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "overrides", [None, {"e2": EdgeState.BLOCKED, "e4": EdgeState.OPEN}]
     )

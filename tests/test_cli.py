@@ -694,6 +694,43 @@ class TestCentrality:
         assert all(r["se_blocked"] != "" for r in rows)
 
 
+    def test_mc_others_open_csv_is_pinned(self, capsys, tri_graph, tmp_path):
+        # every other road open leaves one world per road, drawn with no
+        # uniform: these bytes do not depend on the stream rule
+        dest = tmp_path / "cbc.csv"
+        rc, _, err = run(
+            capsys,
+            [
+                "centrality", "--graph", tri_graph, "--source", "S",
+                "--sink", "T", "--method", "mc", "--mode", "others_open",
+                "--reps", "400", "--seed", "11", "--output", str(dest),
+            ],
+        )
+        assert rc == 0, err
+        assert dest.read_text(encoding="utf-8") == (
+            "edge_id,mode,method,e_t_blocked,e_t_open,cbc,"
+            "p_fail_blocked,p_fail_open,se_blocked,se_open,se_cbc\n"
+            "a,others_open,monte_carlo,10,10,0,0,0,0,0,0\n"
+            "b,others_open,monte_carlo,10,10,0,0,0,0,0,0\n"
+            "d,others_open,monte_carlo,12,10,2,0,0,0,0,0\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["others_stochastic", "others_open"])
+    def test_mc_needs_a_replicate(self, capsys, tri_graph, tmp_path, mode):
+        dest = tmp_path / "cbc.csv"
+        rc, _, err = run(
+            capsys,
+            [
+                "centrality", "--graph", tri_graph, "--source", "S",
+                "--sink", "T", "--method", "mc", "--mode", mode,
+                "--reps", "0", "--output", str(dest),
+            ],
+        )
+        assert rc == 2
+        assert "replications must be at least 1" in err
+        assert not dest.exists()
+
+
 class TestSimulate:
     def test_fixed_route_records(self, capsys, tri_graph, tmp_path):
         dest = tmp_path / "reps.csv"
