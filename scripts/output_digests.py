@@ -4,8 +4,9 @@
 Builds one workload's operations with the benchmark's generator, runs each
 through its CLI runner and prints one JSON (kind, sha256, argv, problems)
 line per operation, the argv with the paths of its files cut to their
-names, so that a changed digest names the operation it belongs to. Two checkouts that give the same rows print the same bytes for
-every operation, wherever they sit: some outputs name the files they
+names, so that a changed digest names the operation it belongs to. Two
+checkouts that give the same rows print the same bytes for every
+operation, wherever they sit: some outputs name the files they
 wrote, so the default --workdir is one fixed absolute directory,
 ctproute-digests under the system temporary directory, and a --workdir
 given to compare two checkouts must be the same absolute path for both.

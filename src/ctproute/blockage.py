@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import functools
 import io
 import math
 from dataclasses import dataclass
@@ -107,16 +106,9 @@ class BlockageModel:
                     f"probability for {edge_id!r} outside [0, 1]: {p!r}"
                 )
         object.__setattr__(self, "probabilities", probs)
-
-    @functools.cached_property
-    def _draw(self) -> tuple:
-        """(edge ids, probabilities, the one world if every edge is at 0 or
-        1, as u in [0, 1) makes u < 0 false and u < 1 true), built at the
-        first draw: a model is not changed after it is built."""
-        probs = self.probabilities
-        edge_ids, p = tuple(probs), np.fromiter(probs.values(), float, len(probs))
-        certain = set(probs.values()) <= {0, 1}
-        return edge_ids, p, _packed_world(edge_ids, p == 1.0) if certain else None
+        # what sample_realization draws against, built at the first draw
+        # by _draw_of: a model is not changed after it is built
+        object.__setattr__(self, "_draw", None)
 
     def probability(self, edge_id: str) -> float:
         try:
@@ -204,20 +196,31 @@ def sample_realization(
     dict is built until world.states is read. A model with every edge at
     0 or 1 returns its one world, built at its first draw, drawing nothing.
     """
-    edge_ids, p, fixed = model._draw
+    edge_ids, p, fixed = model._draw or _draw_of(model)
     if fixed is not None:
         return fixed
     uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, len(edge_ids))
-    return _packed_world(edge_ids, uniforms < p)
-
-
-def _packed_world(edge_ids: tuple[str, ...], flags: np.ndarray) -> Realization:
-    """The world blocking edge_ids[i] iff flags[i], built valid."""
-    packed = np.packbits(flags, bitorder="little")
+    packed = np.packbits(uniforms < p, bitorder="little")
+    # the states are valid by construction, so the world skips
+    # Realization's check
     world = object.__new__(Realization)
     object.__setattr__(world, "edge_ids", edge_ids)
     object.__setattr__(world, "blocked", int.from_bytes(packed, "little"))
     return world
+
+
+def _draw_of(model: BlockageModel) -> tuple:
+    """(edge ids, probabilities, the one world if every edge is at 0 or 1,
+    as u in [0, 1) makes u < 0 false and u < 1 true), kept on the model."""
+    probs = model.probabilities
+    fixed = None
+    if set(probs.values()) <= {0, 1}:
+        fixed = Realization(
+            {e: EdgeState.BLOCKED if q else EdgeState.OPEN for e, q in probs.items()}
+        )
+    draw = tuple(probs), np.fromiter(probs.values(), float, len(probs)), fixed
+    object.__setattr__(model, "_draw", draw)
+    return draw
 
 
 def csv_table(text: str) -> tuple[list[str], list[list[str]]]:

@@ -11,10 +11,9 @@ world, so the policy discovers the forced state on arrival like any
 other observation. Whether the other edges stay random or are forced
 open is the analyst's choice (the mode).
 
-Monte Carlo estimates both terms on common random numbers: replicate r
-of a table is world (seed, r) for every edge, walked once and flipped at
-each edge it reveals (see traveler._blocked_and_open_runs), and under
-others_open each edge's world is the all-open one, drawn with no uniform.
+Monte Carlo estimates both terms on common random numbers, one world
+per replicate pair (see traveler.simulate_blocked_and_open); under
+others_open that world is certain and draws no uniform.
 
 A deterministic geodesic edge betweenness is included as a baseline:
 over unordered node pairs, the fraction of minimum cost paths through
@@ -29,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import rng
 from .blockage import BlockageModel
 from .errors import (
     IncompatibleOptions,
@@ -39,9 +39,9 @@ from .network import RoadNetwork, dijkstra_distances
 from .render import csv_text, fmt
 from .traveler import (
     OptimalPolicy,
-    _blocked_and_open_runs,
     checked_journey,
     evaluate_policy_exact,
+    simulate_blocked_and_open,
     standard_error,
 )
 
@@ -147,15 +147,10 @@ def canadian_betweenness(
             p_fail_open=opened.failure_probability,
         )
 
-    if mode == "others_open":
-        cond = BlockageModel({**cond.probabilities, edge_id: 0.0})
-    (pair,) = _blocked_and_open_runs(
-        net, cond, policy, source, sink, [edge_id], replications, seed, failure_cost
+    blocked, opened = simulate_blocked_and_open(
+        net, cond, policy, source, sink, edge_id, replications,
+        rng.derive_seed(seed, edge_id), failure_cost,
     )
-    return _monte_carlo_row(edge_id, mode, *pair, failure_handling)
-
-
-def _monte_carlo_row(edge_id, mode, blocked, opened, failure_handling) -> CbcResult:
     if failure_handling == "penalty":
         (bv, bse), (ov, ose) = ((d.mean, d.stderr) for d in (blocked, opened))
         se_cbc = standard_error(blocked.times - opened.times)
@@ -166,7 +161,7 @@ def _monte_carlo_row(edge_id, mode, blocked, opened, failure_handling) -> CbcRes
     return CbcResult(
         edge_id=edge_id,
         mode=mode,
-        method="monte_carlo",
+        method=method,
         e_t_blocked=bv,
         e_t_open=ov,
         cbc=bv - ov,
@@ -193,20 +188,10 @@ def canadian_betweenness_all(
     """Blockage centrality for every edge, rows in edge id order."""
     _validate_options(mode, method, failure_handling)
     failure_cost = checked_journey(net, model, source, sink, failure_cost)
-    edge_ids = sorted(net.edge_by_id)
     shared = None
     if mode == "others_stochastic":
-        # one nominal policy, and under Monte Carlo one pass, serve every edge
+        # one nominal policy serves every edge in this mode
         shared = OptimalPolicy(net, model, sink, failure_cost)
-        if method == "monte_carlo":
-            pairs = _blocked_and_open_runs(
-                net, model, shared, source, sink, edge_ids, replications,
-                seed, failure_cost,
-            )
-            return CentralityTable(rows=tuple(
-                _monte_carlo_row(edge_id, mode, *pair, failure_handling)
-                for edge_id, pair in zip(edge_ids, pairs)
-            ))
     rows = tuple(
         canadian_betweenness(
             net, model, source, sink, edge_id,
@@ -214,7 +199,7 @@ def canadian_betweenness_all(
             failure_cost=failure_cost, failure_handling=failure_handling,
             _policy=shared,
         )
-        for edge_id in edge_ids
+        for edge_id in sorted(net.edge_by_id)
     )
     return CentralityTable(rows=rows)
 

@@ -13,14 +13,17 @@ Because a replicate's stream is a pure function of (seed, r), Monte Carlo
 output is identical no matter how replicates are batched or distributed
 across workers.
 
-uniforms() draws a stream's first n uniforms without building a
-generator. World sampling takes its uniforms that way, once per replicate
-of a model with an uncertain edge; the elicitation's normal draws build
-their generator with substream().
+A Philox stream is a function of its key and counter alone, so uniforms()
+draws a stream's first n uniforms without building a generator: it sets
+one reused Philox to the stream's key and a zero counter, under a lock,
+and draws. World sampling takes its uniforms that way, once per
+replicate of a model with an uncertain edge; the elicitation's normal
+draws build their generator with substream().
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 
 import numpy as np
@@ -75,3 +78,9 @@ def uniforms(seed: int, purpose: int, index: int, n: int) -> np.ndarray:
         }
         return gen.random(n)
 
+
+def derive_seed(seed: int, *labels: str) -> int:
+    """Derive a child master seed from string labels, stably across runs."""
+    text = "|".join([str(seed & _MASK64), *labels])
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -789,63 +788,63 @@ def simulate_policy(
     )
 
 
-def _blocked_and_open_runs(
+def simulate_blocked_and_open(
     net: RoadNetwork,
     model: BlockageModel,
     policy: Policy,
     source: str,
     sink: str,
-    edge_ids: Sequence[str],
+    edge_id: str,
     replications: int,
     seed: int,
     failure_cost: Optional[float] = None,
-) -> Iterator[tuple[TravelTimeDistribution, TravelTimeDistribution]]:
-    """Per edge of edge_ids, the simulate_policy runs pinning it at 1 and
-    at 0, bit for bit: each distinct world (seed, r) is walked once, and
-    once more from each reveal of those edges with the edge flipped."""
+) -> tuple[TravelTimeDistribution, TravelTimeDistribution]:
+    """simulate_policy with edge_id forced blocked, and with it forced
+    open, on common random numbers: equal to the two runs whose model
+    pins edge_id at 1 and at 0.
+
+    Each distinct world, edge_id aside, is walked once up to the first
+    arrival that reveals edge_id, then forked into a copy with the edge
+    blocked and one with it open; a walk that ends first counts for both
+    runs. A replicate whose world repeats copies the first one's pair.
+    Worlds come from the model with edge_id pinned open: the same worlds
+    with its bit clear, and one world drawing no uniform where every
+    other edge is certain.
+    """
     failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
-
-    def walk(closed: int, at: tuple, path: list[str], stop: int):
-        return _walk(net, closed, policy, sink, failure_cost, at, path, stop)
-
-    bits = [net.edge_bit[edge_id] for edge_id in edge_ids]
-    watch = sum(1 << b for b in bits)
-    first: dict[int, int] = {}  # a world's blocked mask -> its index
-    world_of = np.empty(replications, dtype=np.intp)
-    times, failed = array("d"), array("b")
-    # per flip: 2 * edge bit + 1 if it opens the edge, world, outcome
-    f_key, f_world, f_time, f_failed = array("q"), array("q"), array("d"), array("b")
+    if edge_id not in net.edge_bit:
+        raise UnknownEdge(f"unknown edge {edge_id!r}")
+    bit = 1 << net.edge_bit[edge_id]
+    worlds = BlockageModel({**model.probabilities, edge_id: 0.0})
+    start = _start(net, source)
+    b_times, o_times = np.empty(replications), np.empty(replications)
+    b_failed = np.empty(replications, dtype=bool)
+    o_failed = np.empty(replications, dtype=bool)
+    first: dict[int, int] = {}
     for r in range(replications):
         # a world of a validated model holds every network edge
-        closed = _world_masks(net, sample_realization(model, seed, stream=r))[0]
-        w = world_of[r] = first.setdefault(closed, len(first))
-        if w < len(times):
+        closed = _world_masks(net, sample_realization(worlds, seed, stream=r))[0]
+        r0 = first.setdefault(closed, r)
+        if r0 != r:
+            b_times[r], b_failed[r] = b_times[r0], b_failed[r0]
+            o_times[r], o_failed[r] = o_times[r0], o_failed[r0]
             continue
-        at, path, stop = _start(net, source), [source], watch
-        while not isinstance(at := walk(closed, at, path, stop), ReplicateOutcome):
-            seen = at[1] & stop
-            stop ^= seen
-            while seen:
-                bit = seen & -seen
-                seen ^= bit
-                flip = walk(closed ^ bit, at, list(path), 0)
-                f_key.append(2 * bit.bit_length() - 2 + bool(closed & bit))
-                f_world.append(w)
-                f_time.append(flip.travel_time)
-                f_failed.append(flip.failed)
-        times.append(at.travel_time)
-        failed.append(at.failed)
+        path = [source]
+        at = _walk(net, closed, policy, sink, failure_cost, start, path, bit)
+        if isinstance(at, ReplicateOutcome):
+            blocked = opened = at
+        else:
+            blocked = _walk(
+                net, closed | bit, policy, sink, failure_cost, at, list(path), 0
+            )
+            opened = _walk(net, closed, policy, sink, failure_cost, at, path, 0)
+        b_times[r], b_failed[r] = blocked.travel_time, blocked.failed
+        o_times[r], o_failed[r] = opened.travel_time, opened.failed
 
-    def run(key: int) -> TravelTimeDistribution:
-        mine = np.frombuffer(f_key, np.int64) == key
-        fw = np.frombuffer(f_world, np.int64)[mine]
-        t, f = np.array(times), np.array(failed, dtype=bool)
-        t[fw], f[fw] = np.frombuffer(f_time)[mine], np.frombuffer(f_failed, bool)[mine]
-        return TravelTimeDistribution(
-            t[world_of], f[world_of], failure_cost, seed, policy.kind
-        )
+    def distribution(times: np.ndarray, failed: np.ndarray) -> TravelTimeDistribution:
+        return TravelTimeDistribution(times, failed, failure_cost, seed, policy.kind)
 
-    return ((run(2 * b), run(2 * b + 1)) for b in bits)
+    return distribution(b_times, b_failed), distribution(o_times, o_failed)
 
 
 def evaluate_policy_exact(

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import oracles
-from ctproute import traveler
-from ctproute.blockage import BlockageModel, EdgeState, sample_realization
+from ctproute import rng, traveler
+from ctproute.blockage import BlockageModel, EdgeState
 from ctproute.centrality import (
     CSV_HEADER,
     FAILURE_HANDLING,
@@ -32,8 +31,10 @@ from ctproute.fixtures import tb_fixture, tri_fixture
 from ctproute.traveler import (
     OptimalPolicy,
     Policy,
+    ReplanGreedyPolicy,
     default_failure_cost,
     exact_expected_time,
+    simulate_blocked_and_open,
     simulate_policy,
 )
 from helpers import make_network, make_model, pinned
@@ -223,7 +224,7 @@ class TestMonteCarloCentrality:
         assert abs(mc.e_t_blocked - exact.e_t_blocked) <= 3 * mc.se_blocked
         assert abs(mc.e_t_open - exact.e_t_open) <= 3 * mc.se_open
 
-    def test_one_pass_table_matches_exact_on_the_kite(self):
+    def test_table_matches_exact_on_the_kite(self):
         # the benchmark's kite: three uncertain roads, so each conditioned
         # road leaves the others random; at 100k replicates every column
         # of every road must sit within 4 standard errors of the exact
@@ -254,6 +255,27 @@ class TestMonteCarloCentrality:
                 p = getattr(want, column)
                 se = math.sqrt(p * (1 - p) / reps)
                 assert abs(getattr(got, column) - p) <= 4 * se + 1e-12, (column, got)
+
+    def test_others_open_draws_no_uniform(self, monkeypatch):
+        # every road but the conditioned one is at 0 in this mode and the
+        # pair pins that one, so each replicate is the one certain world
+        calls = []
+        uniforms = rng.uniforms
+        monkeypatch.setattr(
+            rng, "uniforms", lambda *args: calls.append(args) or uniforms(*args)
+        )
+        net, model = tb_fixture(0.25)
+        table = canadian_betweenness_all(
+            net, model, "S", "T", mode="others_open", method="monte_carlo",
+            replications=50, seed=3,
+        )
+        assert calls == [] and len(table.rows) == len(net.edges)
+        canadian_betweenness_all(
+            net, model, "S", "T", method="monte_carlo", replications=50, seed=3
+        )
+        # under others_stochastic the pairs of sa and st draw; the pair of
+        # at, the one uncertain road, draws from a certain model
+        assert len(calls) == 2 * 50
 
     def test_reruns_are_identical(self):
         net, model = tri_fixture()
@@ -314,56 +336,43 @@ class TestMonteCarloCentrality:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("directed", [False, True])
     def test_forked_pair_equals_two_overridden_runs(self, directed, mode):
-        # replicate r of every road's pair is world (seed, r), walked once
-        # with one flip per road it reveals; each road's pair must be the
-        # two simulate_policy runs whose models pin it, at the table's own
-        # seed, and each row what they give under either failure handling,
-        # the same row a single-road call gives
+        # replicate r of both runs samples one world and walks it once up
+        # to the road's first reveal; the result must be the two separate
+        # simulate_policy runs, and each row what they give under either
+        # failure handling
         seen = set()
         for seed in range(5):
             net, model, source, sink = oracles.random_grid(
                 seed, rows=3, cols=3, uncertain=4, directed=directed
             )
             fc = default_failure_cost(net)
-            reps = 1 if seed % 4 == 0 else 12
-            edge_ids = sorted(net.edge_by_id)
-            tables = {
-                handling: canadian_betweenness_all(
-                    net, model, source, sink, mode=mode, method="monte_carlo",
-                    replications=reps, seed=seed, failure_cost=fc,
-                    failure_handling=handling,
-                )
-                for handling in FAILURE_HANDLING
-            }
-            if mode == "others_stochastic":
-                policy = _CountingPolicy(OptimalPolicy(net, model, sink, fc))
-                pairs = traveler._blocked_and_open_runs(
-                    net, model, policy, source, sink, edge_ids, reps, seed, fc
-                )
-            for i, edge_id in enumerate(edge_ids):
-                cond = _conditioned_model(net, model, edge_id, mode)
-                if mode == "others_open":
-                    policy = _CountingPolicy(OptimalPolicy(net, cond, sink, fc))
-                    pairs = traveler._blocked_and_open_runs(
-                        net, pinned(cond, {edge_id: EdgeState.OPEN}), policy,
-                        source, sink, [edge_id], reps, seed, fc,
-                    )
-                pair = next(pairs)
+            for i, edge in enumerate(net.edges):
+                reps = 1 if i % 4 == 0 else 12
+                cond = _conditioned_model(net, model, edge.id, mode)
+                policy = _CountingPolicy(OptimalPolicy(net, cond, sink, fc))
+                run_seed = rng.derive_seed(seed, edge.id)
                 runs = [
                     simulate_policy(
-                        net, pinned(cond, {edge_id: state}), policy.inner,
-                        source, sink, reps, seed, fc,
+                        net, pinned(cond, {edge.id: state}), policy, source, sink,
+                        reps, run_seed, fc,
                     )
                     for state in (EdgeState.BLOCKED, EdgeState.OPEN)
                 ]
+                pair = simulate_blocked_and_open(
+                    net, cond, policy, source, sink, edge.id, reps, run_seed, fc
+                )
                 for got, want in zip(pair, runs):
                     assert np.array_equal(got.times, want.times)
                     assert np.array_equal(got.failed, want.failed)
                     assert (got.failure_cost, got.seed, got.policy_kind) == (
                         want.failure_cost, want.seed, want.policy_kind
                     )
-                for handling, table in tables.items():
-                    row = table.rows[i]
+                for handling in FAILURE_HANDLING:
+                    row = canadian_betweenness(
+                        net, model, source, sink, edge.id, mode=mode,
+                        method="monte_carlo", replications=reps, seed=seed,
+                        failure_cost=fc, failure_handling=handling,
+                    )
                     if handling == "penalty":
                         want = [(d.mean, d.stderr) for d in runs]
                         diff = runs[0].times - runs[1].times
@@ -383,15 +392,6 @@ class TestMonteCarloCentrality:
                     assert (row.p_fail_blocked, row.p_fail_open) == tuple(
                         d.failure_frequency for d in runs
                     )
-                    single = canadian_betweenness(
-                        net, model, source, sink, edge_id, mode=mode,
-                        method="monte_carlo", replications=reps, seed=seed,
-                        failure_cost=fc, failure_handling=handling,
-                    )
-                    np.testing.assert_equal(
-                        dataclasses.astuple(single), dataclasses.astuple(row)
-                    )
-                edge = net.edges[net.edge_bit[edge_id]]
                 ends = {edge.u, edge.v}
                 if source in ends:
                     seen.add("road at the source")
@@ -402,11 +402,9 @@ class TestMonteCarloCentrality:
         assert seen == {"road at the source", "road no walk reaches", "one replicate"}
 
     def test_pair_walks_once_while_the_road_stays_unseen(self, monkeypatch):
-        # the direct road d never fails, so the nominal walk goes S -> T:
-        # it reveals a and d at S and b at T, and never x at M. Each
-        # distinct world (the uncertain roads a, b and x give eight) must
-        # be walked once, with one flip for each of a, d and b and none
-        # for x, whose two sides are then the nominal walk
+        # the direct road d never fails, so no walk reaches M and its road
+        # x: each world is one walk of one step, shared by both runs, and
+        # the uncertain roads a and b other than x give four worlds
         net = make_network(
             [
                 ("d", "S", "T", 10.0),
@@ -416,44 +414,20 @@ class TestMonteCarloCentrality:
             ]
         )
         model = make_model(d=0.0, a=0.3, b=0.3, x=0.5)
-        calls = []
+        walks = []
         walk = traveler._walk
 
-        def recording(*args):
-            calls.append(args)
+        def counting(*args):
+            walks.append(args)
             return walk(*args)
 
-        monkeypatch.setattr(traveler, "_walk", recording)
-        policy = OptimalPolicy(net, model, "T", 20.0)
-        edge_ids = ["a", "b", "d", "x"]
-        pairs = dict(zip(edge_ids, traveler._blocked_and_open_runs(
-            net, model, policy, "S", "T", edge_ids, 50, 3, 20.0
-        )))
-        # a walk is one path list, however often it pauses; a nominal
-        # walk starts with roads to watch, a flip with none
-        walks = {}
-        for args in calls:
-            walks.setdefault(id(args[6]), args)
-        nominal, flips = [], {}
-        for closed, stop in ((args[1], args[7]) for args in walks.values()):
-            if stop:
-                nominal.append(closed)
-                flips[closed] = []
-            else:
-                flips[nominal[-1]].append(closed ^ nominal[-1])
-        worlds = [
-            traveler._world_masks(net, sample_realization(model, 3, stream=r))[0]
-            for r in range(50)
-        ]
-        assert nominal == list(dict.fromkeys(worlds)) and len(nominal) == 8
-        bits = {e: 1 << net.edge_bit[e] for e in edge_ids}
-        for flipped in flips.values():
-            assert sorted(flipped) == [bits["d"], bits["a"], bits["b"]]
-        blocked, opened = pairs["x"]
+        monkeypatch.setattr(traveler, "_walk", counting)
+        policy = _CountingPolicy(OptimalPolicy(net, model, "T", 20.0))
+        blocked, opened = simulate_blocked_and_open(
+            net, model, policy, "S", "T", "x", 50, 3, 20.0
+        )
+        assert len(walks) == 4 and policy.nodes == {"S"}
         assert np.all(blocked.times == 10.0) and np.all(opened.times == 10.0)
-        # d's blocked side is its flip: via M, or a failure at S or at M
-        want = [20.0 if w & bits["a"] else 24.0 if w & bits["b"] else 12.0 for w in worlds]
-        assert pairs["d"][0].times.tolist() == want
 
 
 class TestOptionValidation:
@@ -480,8 +454,8 @@ class TestOptionValidation:
         with pytest.raises(UnknownEdge):
             canadian_betweenness(net, model, "S", "T", "ghost")
         with pytest.raises(UnknownEdge):
-            canadian_betweenness(
-                net, model, "S", "T", "ghost", method="monte_carlo", replications=5
+            simulate_blocked_and_open(
+                net, model, ReplanGreedyPolicy(net, "T"), "S", "T", "ghost", 5, 0
             )
         with pytest.raises(ValidationError, match="must differ"):
             canadian_betweenness(net, model, "S", "S", "d")
@@ -495,9 +469,8 @@ class TestWholeTable:
         assert all(isinstance(row, CbcResult) for row in table.rows)
 
     def test_table_rows_match_single_edge_queries(self):
-        # the whole-table call reuses one nominal policy across edges, and
-        # under Monte Carlo one pass over the worlds; neither may change
-        # any number
+        # the whole-table call reuses one nominal policy across edges;
+        # that optimization must not change any number
         net, model = tri_fixture()
         for mode in MODES:
             for method in ("exact", "monte_carlo"):

@@ -693,10 +693,10 @@ class TestCentrality:
         assert all(r["method"] == "monte_carlo" for r in rows)
         assert all(r["se_blocked"] != "" for r in rows)
 
-
     def test_mc_others_open_csv_is_pinned(self, capsys, tri_graph, tmp_path):
         # every other road open leaves one world per road, drawn with no
-        # uniform: these bytes do not depend on the stream rule
+        # uniform; the bytes are those recorded while every replicate
+        # still drew its world
         dest = tmp_path / "cbc.csv"
         rc, _, err = run(
             capsys,

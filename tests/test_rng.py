@@ -41,6 +41,12 @@ def test_streams_with_distinct_keys_differ():
     assert len(set(draws.values())) == len(draws)
 
 
+def test_derive_seed_is_stable():
+    assert rng.derive_seed(12345, "a", "b") == 7671757665036666293
+    assert rng.derive_seed(-1, "x") == 10437111857009680579
+    assert rng.derive_seed((1 << 64) - 1, "x") == rng.derive_seed(-1, "x")
+
+
 @pytest.mark.parametrize("index", (-1, 1 << 56, (1 << 56) + 1))
 def test_both_draws_refuse_an_index_out_of_range(index):
     with pytest.raises(ValueError, match="stream index out of range"):

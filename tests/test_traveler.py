@@ -1194,8 +1194,8 @@ def test_simulation_walks_each_distinct_world_once(directed, monkeypatch):
         return walk(net, world, *args)
 
     def recording_step(*args):
-        if args[-1]:  # a nominal walk of the pair pass, not a flip
-            pair_walks.append(args)
+        if args[-1]:  # the walk up to the conditioned road, not a fork
+            pair_walks.append(args[1])
         return step(*args)
 
     monkeypatch.setattr(traveler, "walk_policy", recording_walk)
@@ -1232,19 +1232,19 @@ def test_simulation_walks_each_distinct_world_once(directed, monkeypatch):
                 assert dist.times.tolist() == [o.travel_time for o in outcomes]
                 assert dist.failed.tolist() == [o.failed for o in outcomes]
             m = models["shuffled"]
-            pair_walks.clear()
-            runs = traveler._blocked_and_open_runs(
-                net, m, make(), source, sink, roads, reps, seed, fc
-            )
-            closed = [
-                traveler._world_masks(net, sample_realization(m, seed, stream=r))[0]
-                for r in range(reps)
-            ]
-            # a nominal walk keeps one path list across its pauses
-            walked_worlds = {id(args[6]): args[1] for args in pair_walks}
-            assert list(walked_worlds.values()) == list(dict.fromkeys(closed)), kind
-            for road, pair in zip(roads, runs):
-                for state, got in zip((EdgeState.BLOCKED, EdgeState.OPEN), pair):
+            for road in roads:
+                bit = 1 << net.edge_bit[road]
+                pair_walks.clear()
+                runs = traveler.simulate_blocked_and_open(
+                    net, m, make(), source, sink, road, reps, seed, fc
+                )
+                closed = [
+                    traveler._world_masks(net, sample_realization(m, seed, stream=r))[0]
+                    & ~bit
+                    for r in range(reps)
+                ]
+                assert pair_walks == list(dict.fromkeys(closed)), (kind, road)
+                for state, got in zip((EdgeState.BLOCKED, EdgeState.OPEN), runs):
                     want = simulate_policy(
                         net, pinned(m, {road: state}), make(), source, sink,
                         reps, seed, fc,
@@ -1390,6 +1390,11 @@ JOURNEY_CALLS = {
     ),
     "simulate_policy": lambda net, m, s, t: simulate_policy(
         net, m, ReplanGreedyPolicy(net, "T"), s, t, 5, 0
+    ),
+    "simulate_blocked_and_open": lambda net, m, s, t: (
+        traveler.simulate_blocked_and_open(
+            net, m, ReplanGreedyPolicy(net, "T"), s, t, "d", 5, 0
+        )
     ),
     "canadian_betweenness": lambda net, m, s, t: canadian_betweenness(
         net, m, s, t, "d"
