@@ -298,9 +298,10 @@ class _Planner:
             options.append((dist + ev, other, ef))
             best = min(best, dist + ev)
 
-        if not options:
-            return self.failure_cost, 1.0, None
-        # node names are distinct, so tuple order is (value, name)
+        # never empty: lacking the sink option, the near end of the first
+        # undecided road on a path to the sink is a target, and the first
+        # target is never pruned or cut; node names are distinct, so tuple
+        # order is (value, name)
         value, target, fail = min(options)
         return value, fail, target
 
@@ -617,21 +618,13 @@ def walk_policy(
     edges outside the network. Every known edge was revealed from this
     world, so an arrival ORs the node's incident mask into known and the
     blocked mask is known & closed. A world that lacks a network edge
-    stops the walk at the first arrival that reveals one, and the lowest
-    such bit, the first in incident order, raises UnknownEdge.
+    raises UnknownEdge at the first arrival that reveals one, naming the
+    lowest such bit, the first in incident order.
     """
     net.require_node(source)
     net.require_node(sink)
     closed, unseen = _world_masks(net, world)
-    at = _walk(
-        net, closed, policy, sink, failure_cost,
-        _start(net, source), [source], unseen,
-    )
-    if isinstance(at, ReplicateOutcome):
-        return at
-    lacking = at[1] & unseen
-    edge_id = net.edges[(lacking & -lacking).bit_length() - 1].id
-    raise UnknownEdge(f"realization has no edge {edge_id!r}")
+    return _walk(net, closed, unseen, policy, source, sink, failure_cost)
 
 
 def _world_masks(net: RoadNetwork, world: Realization) -> tuple[int, int]:
@@ -649,34 +642,29 @@ def _world_masks(net: RoadNetwork, world: Realization) -> tuple[int, int]:
     return closed, ~seen
 
 
-def _start(net: RoadNetwork, source: str) -> tuple[str, int, float, int]:
-    """A walk's position before its first move: (current node, known
-    mask, time spent, steps left), with the whole step budget left."""
-    steps = 4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16
-    return source, net.incident_mask[source], 0.0, steps
-
-
 def _walk(
     net: RoadNetwork,
     closed: int,
+    unseen: int,
     policy: Policy,
+    source: str,
     sink: str,
     failure_cost: float,
-    at: tuple[str, int, float, int],
-    path: list[str],
-    stop: int,
-) -> ReplicateOutcome | tuple[str, int, float, int]:
-    """Walk on from position `at` (see _start) in the world whose blocked
-    edges are closed, appending each node to path, which ends at `at`'s
-    node. Returns the ReplicateOutcome, or the position where known first
-    meets the mask stop, before the traveler there decides: a copy of the
-    walk can go on from it in a world that differs only on stop."""
-    current, known, time, steps = at
+) -> ReplicateOutcome:
+    """Walk from source to the end of the journey in the world whose
+    blocked edges are closed; the first arrival that reveals a bit of
+    unseen, the edges the world lacks, raises UnknownEdge."""
     incident = net.incident_mask
     moves = _moves(policy, net)
-    for left in range(steps, 0, -1):
-        if known & stop:
-            return current, known, time, left
+    current, known, time, path = source, incident[source], 0.0, [source]
+    # a terminating walk repeats no belief, and its known mask changes only
+    # at a node's first arrival, so over the n nodes it reaches it takes at
+    # most n * n steps; past this budget it has cycled
+    for _ in range(4 * (len(net.nodes) + 1) * (len(net.edges) + 1) + 16):
+        if known & unseen:
+            lacking = known & unseen
+            edge_id = net.edges[(lacking & -lacking).bit_length() - 1].id
+            raise UnknownEdge(f"realization has no edge {edge_id!r}")
         if current == sink:
             return ReplicateOutcome(time, False, tuple(path))
         belief = (current, known, known & closed)
@@ -689,7 +677,7 @@ def _walk(
         time += cost
         known |= incident[current]
         path.append(current)
-    raise RuntimeError("policy failed to terminate; this is a bug")
+    raise ValidationError("policy revisits a knowledge state without new information")
 
 
 def standard_error(values: np.ndarray) -> float:
@@ -803,20 +791,21 @@ def simulate_blocked_and_open(
     open, on common random numbers: equal to the two runs whose model
     pins edge_id at 1 and at 0.
 
-    Each distinct world, edge_id aside, is walked once up to the first
-    arrival that reveals edge_id, then forked into a copy with the edge
-    blocked and one with it open; a walk that ends first counts for both
-    runs. A replicate whose world repeats copies the first one's pair.
-    Worlds come from the model with edge_id pinned open: the same worlds
-    with its bit clear, and one world drawing no uniform where every
-    other edge is certain.
+    Each distinct world, edge_id aside, is walked from the source with
+    the edge open, and again with it blocked only when that walk stood at
+    an end of the edge: until the first such arrival both worlds give
+    every belief the same masks, so a walk that never reveals the edge is
+    both runs' walk. A replicate whose world repeats copies the first
+    one's pair. Worlds come from the model with edge_id pinned open: the
+    same worlds with its bit clear, and one world drawing no uniform where
+    every other edge is certain.
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
     if edge_id not in net.edge_bit:
         raise UnknownEdge(f"unknown edge {edge_id!r}")
-    bit = 1 << net.edge_bit[edge_id]
+    edge = net.edge_by_id[edge_id]
+    bit, ends = 1 << net.edge_bit[edge_id], {edge.u, edge.v}
     worlds = BlockageModel({**model.probabilities, edge_id: 0.0})
-    start = _start(net, source)
     b_times, o_times = np.empty(replications), np.empty(replications)
     b_failed = np.empty(replications, dtype=bool)
     o_failed = np.empty(replications, dtype=bool)
@@ -829,15 +818,9 @@ def simulate_blocked_and_open(
             b_times[r], b_failed[r] = b_times[r0], b_failed[r0]
             o_times[r], o_failed[r] = o_times[r0], o_failed[r0]
             continue
-        path = [source]
-        at = _walk(net, closed, policy, sink, failure_cost, start, path, bit)
-        if isinstance(at, ReplicateOutcome):
-            blocked = opened = at
-        else:
-            blocked = _walk(
-                net, closed | bit, policy, sink, failure_cost, at, list(path), 0
-            )
-            opened = _walk(net, closed, policy, sink, failure_cost, at, path, 0)
+        opened = blocked = _walk(net, closed, 0, policy, source, sink, failure_cost)
+        if not ends.isdisjoint(opened.path):
+            blocked = _walk(net, closed | bit, 0, policy, source, sink, failure_cost)
         b_times[r], b_failed[r] = blocked.travel_time, blocked.failed
         o_times[r], o_failed[r] = opened.travel_time, opened.failed
 

@@ -349,10 +349,18 @@ class TestWalkPolicy:
             assert np.all(dist.times == time)
 
     def test_nonterminating_policy_is_detected(self):
+        # a walk, a simulation and the exact evaluator all refuse a cycling
+        # policy with the same error
         net = make_network([("e", "S", "A", 1.0)], extra_nodes=("T",))
         world = oracles.Realization(states={"e": EdgeState.OPEN})
-        with pytest.raises(RuntimeError, match="failed to terminate"):
+        model = make_model(e=0.0)
+        cycling = "policy revisits a knowledge state without new information"
+        with pytest.raises(ValidationError, match=cycling):
             walk_policy(net, world, _PingPongPolicy(), "S", "T", 4.0)
+        with pytest.raises(ValidationError, match=cycling):
+            simulate_policy(net, model, _PingPongPolicy(), "S", "T", 3, 0, 4.0)
+        with pytest.raises(ValidationError, match=cycling):
+            evaluate_policy_exact(net, model, _PingPongPolicy(), "S", "T", 4.0)
 
 
 class TestPolicies:
@@ -1184,7 +1192,9 @@ def test_simulation_decides_each_belief_once(variant):
 def test_simulation_walks_each_distinct_world_once(directed, monkeypatch):
     # 4 uncertain roads give at most 16 worlds, so 40 replicates repeat
     # some; a repeat must copy the first outcome without a walk, and a
-    # world that differs on any road must get its own walk
+    # world that differs on any road must get its own walk. The centrality
+    # pair walks each distinct world open, and again blocked only when the
+    # open walk stood at an end of its road
     reps = 40
     walked, pair_walks = [], []
     walk, step = traveler.walk_policy, traveler._walk
@@ -1193,14 +1203,13 @@ def test_simulation_walks_each_distinct_world_once(directed, monkeypatch):
         walked.append(world.blocked)
         return walk(net, world, *args)
 
-    def recording_step(*args):
-        if args[-1]:  # the walk up to the conditioned road, not a fork
-            pair_walks.append(args[1])
-        return step(*args)
+    def recording_step(net, closed, *args):
+        pair_walks.append(closed)
+        return step(net, closed, *args)
 
     monkeypatch.setattr(traveler, "walk_policy", recording_walk)
     monkeypatch.setattr(traveler, "_walk", recording_step)
-    kinds_seen = set()
+    kinds_seen, sides_seen = set(), set()
     for seed in range(6):
         net, model, source, sink = oracles.random_grid(
             seed, rows=3, cols=3, uncertain=4, directed=directed
@@ -1234,16 +1243,26 @@ def test_simulation_walks_each_distinct_world_once(directed, monkeypatch):
             m = models["shuffled"]
             for road in roads:
                 bit = 1 << net.edge_bit[road]
+                ends = {net.edge_by_id[road].u, net.edge_by_id[road].v}
+                reference = make()
+                want_walks = []
+                for closed in dict.fromkeys(
+                    traveler._world_masks(net, sample_realization(m, seed, stream=r))[0]
+                    & ~bit
+                    for r in range(reps)
+                ):
+                    want_walks.append(closed)
+                    opened = step(net, closed, 0, reference, source, sink, fc)
+                    if ends & set(opened.path):
+                        want_walks.append(closed | bit)
+                        sides_seen.add("blocked walk")
+                    else:
+                        sides_seen.add("open walk only")
                 pair_walks.clear()
                 runs = traveler.simulate_blocked_and_open(
                     net, m, make(), source, sink, road, reps, seed, fc
                 )
-                closed = [
-                    traveler._world_masks(net, sample_realization(m, seed, stream=r))[0]
-                    & ~bit
-                    for r in range(reps)
-                ]
-                assert pair_walks == list(dict.fromkeys(closed)), (kind, road)
+                assert pair_walks == want_walks, (kind, road)
                 for state, got in zip((EdgeState.BLOCKED, EdgeState.OPEN), runs):
                     want = simulate_policy(
                         net, pinned(m, {road: state}), make(), source, sink,
@@ -1252,6 +1271,7 @@ def test_simulation_walks_each_distinct_world_once(directed, monkeypatch):
                     assert got.times.tolist() == want.times.tolist()
                     assert got.failed.tolist() == want.failed.tolist()
     assert kinds_seen == {"optimal", "replan", "route"}
+    assert sides_seen == {"blocked walk", "open walk only"}
 
 
 def _uncached_greedy(net, sink, k):
