@@ -10,9 +10,9 @@ to this script, the benchmark's own run length. Each seed runs every
 workload; with two checkouts every run happens in both, and which one
 goes first alternates from seed to seed, so a slow spell of a shared
 machine falls on both sides alike. After the runs it prints, per
-workload, each end-to-end metric's median per checkout and, with two
-checkouts, how many seeds the first one won, by the metric's direction
-in ``BENCHMARK.json``. Exits 1 at once when a run exits non-zero, and
+workload, each end-to-end metric's median and interquartile range per
+checkout and, with two checkouts, how many seeds the first one won, by
+the metric's direction in ``BENCHMARK.json``. Exits 1 at once when a run exits non-zero, and
 after writing every row when any run was not correct or had failed
 operations.
 
@@ -98,8 +98,9 @@ def main() -> int:
 
 def summary(end_to_end: list[dict], rows: dict[str, list[dict]]) -> list[str]:
     """One line per workload and end-to-end metric: each label's median
-    and, for two labels, how many seeds the first one did better on (a
-    tie counts for neither)."""
+    and interquartile range (quartiles interpolated between the sorted
+    values, as numpy's percentile does) and, for two labels, how many
+    seeds the first one did better on (a tie counts for neither)."""
     labels = list(rows)
     lines = []
     for workload in dict.fromkeys(r["workload"] for r in rows[labels[0]]):
@@ -110,7 +111,7 @@ def summary(end_to_end: list[dict], rows: dict[str, list[dict]]) -> list[str]:
                  if r["workload"] == workload]
                 for label in labels
             ]
-            parts = [f"{label} {statistics.median(v):.6g}"
+            parts = [f"{label} {statistics.median(v):.6g} (IQR {iqr(v):.3g})"
                      for label, v in zip(labels, values)]
             if len(labels) == 2:
                 sign = 1 if metric["better"] == "higher" else -1
@@ -118,6 +119,14 @@ def summary(end_to_end: list[dict], rows: dict[str, list[dict]]) -> list[str]:
                 parts.append(f"{labels[0]} won {won} of {len(values[0])}")
             lines.append(f"{workload} {name} ({metric['unit']}): " + ", ".join(parts))
     return lines
+
+
+def iqr(values: list[float]) -> float:
+    """The distance between the first and third quartiles of values."""
+    if len(values) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
 
 
 if __name__ == "__main__":

@@ -8,11 +8,14 @@ come from direct input or from a logistic model on edge covariates:
 A Realization fixes the true open or blocked state of every edge for one
 draw of the world, as its edge ids in order and the int mask of the
 blocked ones. Replicate r draws the first uniforms u in [0, 1) of its
-stream (rng.uniforms), one per edge in model order, and blocks edge l
-iff u < p_l: one float64 compare, then numpy packs the flags into the
-mask. So p_l = 1 blocks the edge in every world and p_l = 0 opens it,
-and a model pinned as {**model.probabilities, edge_id: 1.0} keeps the
-edge's place and, under one seed, every other edge's state.
+stream, one per edge in model order, and blocks edge l iff u < p_l: one
+float64 compare, then numpy packs the flags into the mask. So p_l = 1
+blocks the edge in every world and p_l = 0 opens it, and a model pinned
+as {**model.probabilities, edge_id: 1.0} keeps the edge's place and,
+under one seed, every other edge's state. sample_realization draws one
+world with rng.uniforms; sample_worlds draws a simulation's worlds a
+batch of replicates at a time with rng's numpy Philox, the same worlds
+bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -34,6 +37,10 @@ from .errors import (
     ValidationError,
 )
 from .network import RoadNetwork
+
+# Philox blocks sample_worlds draws at once (128 KiB per uint64 lane): its
+# temporaries stay a few MiB however many replicates and edges there are
+SAMPLE_BLOCK = 16384
 
 
 class EdgeState(enum.Enum):
@@ -201,11 +208,64 @@ def sample_realization(
         return fixed
     uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, len(edge_ids))
     packed = np.packbits(uniforms < p, bitorder="little")
-    # the states are valid by construction, so the world skips
-    # Realization's check
+    return _world(edge_ids, int.from_bytes(packed, "little"))
+
+
+def sample_worlds(
+    model: BlockageModel, seed: int, replications: int
+) -> Iterator[tuple[list[Realization], np.ndarray]]:
+    """The worlds of replicates 0 to replications - 1, a batch at a time.
+
+    For each batch, in replicate order, yields the worlds that first
+    appear in it, in the order they appear, and the index of each of its
+    replicates' world among the run's distinct worlds, numbered in order
+    of first appearance. Replicate r's world is sample_realization(model,
+    seed, stream=r), bit for bit.
+
+    The uniforms of a batch come from one numpy Philox pass
+    (rng._uniform_blocks) of about SAMPLE_BLOCK blocks, holding only the
+    blocks with an uncertain edge: an edge at 0 or 1 is blocked or open
+    whatever its uniform. Each batch's u < p flags are packed into
+    model-order masks, and a mask is made a world at its first sight
+    only. A model with every edge at 0 or 1 yields its one world and
+    draws nothing.
+    """
+    edge_ids, p, fixed = model._draw or _draw_of(model)
+    if fixed is not None:
+        yield [fixed], np.zeros(replications, dtype=np.intp)
+        return
+    uncertain = np.flatnonzero((p > 0) & (p < 1))
+    blocks = np.unique(uncertain >> 2)
+    # uncertain edge i's uniform is lane i % 4 of block i // 4
+    columns = np.searchsorted(blocks, uncertain >> 2) * 4 + (uncertain & 3)
+    chunk = max(1, SAMPLE_BLOCK // blocks.size)
+    flags = np.tile(p == 1, (min(chunk, replications), 1))
+    mask_bytes = np.dtype((np.void, -(-p.size // 8)))
+    seen: dict[bytes, int] = {}
+    for start in range(0, replications, chunk):
+        count = min(chunk, replications - start)
+        u = rng._uniform_blocks(seed, rng.REALIZATIONS, start, count, blocks)
+        flags[:count, uncertain] = u[:, columns] < p[uncertain]
+        packed = np.packbits(flags[:count], axis=1, bitorder="little")
+        masks, at, inverse = np.unique(
+            packed.view(mask_bytes).ravel(), return_index=True, return_inverse=True
+        )
+        worlds, slots = [], np.empty(masks.size, dtype=np.intp)
+        for m in np.argsort(at):
+            mask = masks[m].tobytes()
+            if mask not in seen:
+                seen[mask] = len(seen)
+                worlds.append(_world(edge_ids, int.from_bytes(mask, "little")))
+            slots[m] = seen[mask]
+        yield worlds, slots[inverse]
+
+
+def _world(edge_ids: tuple[str, ...], blocked: int) -> Realization:
+    """The world of edge_ids with the blocked mask blocked: the states are
+    valid by construction, so it skips Realization's check."""
     world = object.__new__(Realization)
     object.__setattr__(world, "edge_ids", edge_ids)
-    object.__setattr__(world, "blocked", int.from_bytes(packed, "little"))
+    object.__setattr__(world, "blocked", blocked)
     return world
 
 

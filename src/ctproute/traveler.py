@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .blockage import BlockageModel, Realization, sample_realization
+from .blockage import BlockageModel, Realization, sample_realization, sample_worlds
 from .errors import (
     BadRoute,
     TooManyUncertainEdges,
@@ -749,27 +749,28 @@ def simulate_policy(
 ) -> TravelTimeDistribution:
     """Monte Carlo policy evaluation over sampled worlds.
 
-    Replicate r draws its world from substream (seed, r), so output is
-    independent of batching and worker count, and reruns are identical.
-    Each distinct world is walked once; a replicate whose blocked mask
-    repeats copies the outcome of the first replicate that drew it.
+    Replicate r's world is sample_realization(model, seed, stream=r), a
+    function of the substream (seed, r) alone, so output is independent
+    of batching and worker count, and reruns are identical. The worlds
+    are drawn a batch at a time (blockage.sample_worlds); each distinct
+    world is walked once, through walk_policy, in the order it first
+    appears, and every replicate takes its world's outcome.
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
-    times = np.empty(replications, dtype=float)
-    failed = np.empty(replications, dtype=bool)
-    first: dict[int, int] = {}
-    for r in range(replications):
-        world = sample_realization(model, seed, stream=r)
-        r0 = first.setdefault(world.blocked, r)
-        if r0 != r:
-            times[r], failed[r] = times[r0], failed[r0]
-            continue
-        outcome = walk_policy(net, world, policy, source, sink, failure_cost)
-        times[r] = outcome.travel_time
-        failed[r] = outcome.failed
+    # allocated before any draw: a count past memory fails at once, not
+    # after walking every batch that fits
+    index = np.empty(replications, dtype=np.intp)
+    times, failed, start = [], [], 0
+    for worlds, slots in sample_worlds(model, seed, replications):
+        for world in worlds:
+            outcome = walk_policy(net, world, policy, source, sink, failure_cost)
+            times.append(outcome.travel_time)
+            failed.append(outcome.failed)
+        index[start : start + slots.size] = slots
+        start += slots.size
     return TravelTimeDistribution(
-        times=times,
-        failed=failed,
+        times=np.array(times, dtype=float)[index],
+        failed=np.array(failed, dtype=bool)[index],
         failure_cost=failure_cost,
         seed=seed,
         policy_kind=policy.kind,

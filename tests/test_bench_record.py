@@ -47,12 +47,16 @@ def test_summary_gives_medians_and_wins_per_workload():
     })
     lines = bench_record.summary(END_TO_END, {"new": new, "old": old})
     assert lines == [
-        # lower is better: seed 0 won, seed 1 a tie, seed 2 lost
-        "grid-mc wall_s (s): new 2, old 2, new won 1 of 3",
+        # lower is better: seed 0 won, seed 1 a tie, seed 2 lost; the
+        # quartiles of 1, 2, 3 are 1.5 and 2.5
+        "grid-mc wall_s (s): new 2 (IQR 1), old 2 (IQR 0.5), new won 1 of 3",
         # higher is better: seed 0 a tie, seed 1 lost, seed 2 won
-        "grid-mc simulate_reps_per_s (1/s): new 20, old 20, new won 1 of 3",
-        "fixture-mc wall_s (s): new 0.5, old 0.6, new won 2 of 3",
-        "fixture-mc simulate_reps_per_s (1/s): new 8, old 6, new won 3 of 3",
+        "grid-mc simulate_reps_per_s (1/s): new 20 (IQR 10), old 20 (IQR 7.5), "
+        "new won 1 of 3",
+        "fixture-mc wall_s (s): new 0.5 (IQR 0.25), old 0.6 (IQR 0), "
+        "new won 2 of 3",
+        "fixture-mc simulate_reps_per_s (1/s): new 8 (IQR 1), old 6 (IQR 1), "
+        "new won 3 of 3",
     ]
 
 
@@ -61,6 +65,10 @@ def test_summary_of_one_checkout_has_no_wins():
         END_TO_END, {"only": rows("only", {"grid-exact": [(1.0, 4.0), (3.0, 2.0)]})}
     )
     assert lines == [
-        "grid-exact wall_s (s): only 2",
-        "grid-exact simulate_reps_per_s (1/s): only 3",
+        "grid-exact wall_s (s): only 2 (IQR 1)",
+        "grid-exact simulate_reps_per_s (1/s): only 3 (IQR 1)",
     ]
+
+
+def test_one_run_has_no_spread():
+    assert bench_record.iqr([5.0]) == 0.0

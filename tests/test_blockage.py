@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ctproute import rng
 from ctproute.blockage import (
+    SAMPLE_BLOCK,
     BetaVector,
     BlockageModel,
     CovariateMatrix,
@@ -23,6 +24,7 @@ from ctproute.blockage import (
     read_covariates_csv,
     read_probabilities_csv,
     sample_realization,
+    sample_worlds,
 )
 from ctproute.errors import (
     DimensionMismatch,
@@ -255,6 +257,38 @@ class TestSampling:
         assert calls == []
         sample_realization(BlockageModel({**probs, edge_ids[1]: 0.5}), 8, stream=0)
         assert len(calls) == 1
+
+    def test_batched_worlds_are_the_sampled_worlds(self):
+        # models of 9, 40 and 69 roads (masks of more than one 64-bit
+        # word) out of name order, one road pinned, over two batches and
+        # one replicate more: each replicate's world is its sampled world,
+        # and the batches' new worlds, in turn, are each distinct world
+        # once, in the order of first appearance
+        gen = np.random.default_rng(8)
+        for trial, size in enumerate((9, 40, 69)):
+            edge_ids = [f"e{i}" for i in gen.permutation(size)]
+            probs = {e: float(gen.choice((0.0, 0.2, 0.5, 0.9, 1.0))) for e in edge_ids}
+            probs[edge_ids[0]] = 0.5
+            model = pinned(BlockageModel(probs), {edge_ids[-1]: EdgeState.BLOCKED})
+            p = np.array(list(model.probabilities.values()))
+            blocks = {i // 4 for i in np.flatnonzero((p > 0) & (p < 1))}
+            reps = 2 * (SAMPLE_BLOCK // len(blocks)) + 1
+            batches = list(sample_worlds(model, trial, reps))
+            assert len(batches) == 3
+            worlds = [w for new, _ in batches for w in new]
+            index = np.concatenate([slots for _, slots in batches])
+            masks = [sample_realization(model, trial, stream=r).blocked for r in range(reps)]
+            assert [w.blocked for w in worlds] == list(dict.fromkeys(masks))
+            assert [worlds[i].blocked for i in index] == masks
+            assert {w.edge_ids for w in worlds} == {tuple(edge_ids)}
+            assert all(type(w) is Realization for w in worlds)
+
+    def test_a_certain_model_batch_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(rng, "_uniform_blocks", None)
+        model = BlockageModel({"a": 1.0, "b": 0.0, "c": 1})
+        [(worlds, index)] = sample_worlds(model, 3, 5)
+        assert worlds == [sample_realization(model, 3, stream=0)]
+        assert index.tolist() == [0] * 5
 
     @pytest.mark.parametrize(
         "overrides", [None, {"e2": EdgeState.BLOCKED, "e4": EdgeState.OPEN}]

@@ -335,11 +335,11 @@ class TestMonteCarloCentrality:
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("directed", [False, True])
-    def test_forked_pair_equals_two_overridden_runs(self, directed, mode):
-        # replicate r of both runs samples one world and walks it once up
-        # to the road's first reveal; the result must be the two separate
-        # simulate_policy runs, and each row what they give under either
-        # failure handling
+    def test_pair_equals_two_pinned_runs(self, directed, mode):
+        # the pair draws each replicate's world once for both its runs;
+        # they must be the two separate simulate_policy runs with the road
+        # pinned blocked and pinned open, and each row what they give
+        # under either failure handling
         seen = set()
         for seed in range(5):
             net, model, source, sink = oracles.random_grid(

@@ -1,4 +1,5 @@
-"""Seeded substreams: the split rule, the reused-generator draw, threads."""
+"""Seeded substreams: the split rule, the reused-generator draw, the
+batch draw, threads."""
 
 from __future__ import annotations
 
@@ -66,6 +67,43 @@ def test_uniforms_equal_the_first_draws_of_the_substream(purpose, index):
             got = rng.uniforms(seed, purpose, index, n)
             assert got.dtype == want.dtype and got.shape == (n,)
             assert np.array_equal(got, want)
+
+
+def batch_rows(seed: int, purpose: int, start: int, count: int, n: int) -> np.ndarray:
+    """The batch draw's rows of streams start to start + count - 1, cut to
+    each stream's first n uniforms."""
+    blocks = np.arange(-(-n // 4))
+    return rng._uniform_blocks(seed, purpose, start, count, blocks)[:, :n]
+
+
+@pytest.mark.parametrize("purpose", PURPOSES)
+@pytest.mark.parametrize("start", (0, TOP_INDEX - 2))
+def test_the_batch_draw_equals_uniforms_bit_for_bit(purpose, start):
+    # three streams from index 0, or up to TOP_INDEX; widths inside one
+    # four-word block, at and across block edges, and wide. A uint64
+    # scalar that overflows warns, and pytest fails on a warning; a
+    # constant cast to float64 gives other bits
+    for seed in SEEDS:
+        for n in (1, 3, 4, 5, 60, 401):
+            got = batch_rows(seed, purpose, start, 3, n)
+            want = [rng.uniforms(seed, purpose, start + i, n) for i in range(3)]
+            assert got.dtype == np.float64 and got.shape == (3, n)
+            assert np.array_equal(got, want)
+
+
+def test_the_batch_draw_computes_the_blocks_asked_for():
+    blocks = np.array([0, 3, 4, 20])
+    got = rng._uniform_blocks(11, rng.REALIZATIONS, 5, 7, blocks)
+    full = batch_rows(11, rng.REALIZATIONS, 5, 7, 84).reshape(7, 21, 4)
+    assert np.array_equal(got, full[:, blocks].reshape(7, 16))
+
+
+@pytest.mark.parametrize(
+    "start, count", ((-1, 2), (TOP_INDEX, 2), (1 << 56, 1), ((1 << 56) + 1, 3))
+)
+def test_the_batch_draw_refuses_an_index_out_of_range(start, count):
+    with pytest.raises(ValueError, match="stream index out of range"):
+        rng._uniform_blocks(1, rng.REALIZATIONS, start, count, np.arange(1))
 
 
 def test_uniforms_do_not_touch_a_live_substream():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ctproute import traveler
+from ctproute import blockage, rng, traveler
 from ctproute.blockage import (
     BlockageModel,
     EdgeState,
@@ -733,6 +733,27 @@ class TestSimulation:
         short = simulate_policy(net, model, policy, "S", "T", 8, seed=3)
         long = simulate_policy(net, model, policy, "S", "T", 16, seed=3)
         assert np.array_equal(short.times, long.times[:8])
+        # and on either side of batch boundaries, on a grid whose uncertain
+        # roads lie in several Philox blocks
+        net, model, source, sink = oracles.random_grid(5, rows=4, cols=4, uncertain=12)
+        batch = _batch_size(model)
+        assert batch < blockage.SAMPLE_BLOCK // 2
+        policy = ReplanGreedyPolicy(net, sink)
+        long = simulate_policy(net, model, policy, source, sink, 2 * batch + 1, 3)
+        for reps in (batch - 1, batch, batch + 1, 2 * batch):
+            short = simulate_policy(net, model, policy, source, sink, reps, 3)
+            assert np.array_equal(short.times, long.times[:reps])
+            assert np.array_equal(short.failed, long.failed[:reps])
+
+    def test_a_count_past_memory_fails_before_any_draw(self, monkeypatch):
+        # the batches are drawn lazily, so the per-replicate index must be
+        # allocated first: else 2**55 replicates walk batch after batch
+        # until the process runs out of memory
+        monkeypatch.setattr(rng, "_uniform_blocks", None)
+        net, model = tri_fixture()
+        policy = OptimalPolicy(net, model, "T", 44.0)
+        with pytest.raises(MemoryError):
+            simulate_policy(net, model, policy, "S", "T", 2**55, seed=3)
 
     def test_mean_tracks_exact_value(self):
         net, model = tri_fixture()
@@ -1062,6 +1083,55 @@ def _walk_policies(net, model, source, sink, fc):
     if path is not None:
         kinds["route"] = lambda: FixedRoutePolicy(net, sink, path.nodes)
     return kinds
+
+
+def _batch_size(model):
+    """Replicates per batch of blockage.sample_worlds: SAMPLE_BLOCK over
+    the Philox blocks, of 4 roads each in model order, that hold an
+    uncertain road."""
+    p = np.array(list(model.probabilities.values()))
+    blocks = {i // 4 for i in np.flatnonzero((p > 0) & (p < 1))}
+    return blockage.SAMPLE_BLOCK // len(blocks)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_batched_simulation_equals_per_replicate_runs(directed, monkeypatch):
+    # one batch less one, one batch and one, and two batches and one
+    # replicate, each against sample_realization and walk_policy run
+    # replicate by replicate; a certain model draws no batch at all
+    net, model, source, sink = oracles.random_grid(
+        2, rows=3, cols=4, uncertain=10, directed=directed
+    )
+    fc = default_failure_cost(net)
+    roads = uncertain_edges(model)
+    ids = list(model.probabilities)
+    order = np.random.default_rng(2).permutation(len(ids))
+    models = {
+        "nominal": model,
+        "pinned": pinned(
+            model, {roads[0]: EdgeState.BLOCKED, roads[1]: EdgeState.OPEN}
+        ),
+        "shuffled": BlockageModel({ids[i]: model.probabilities[ids[i]] for i in order}),
+        "certain": BlockageModel(
+            {e: float(p >= 0.5) for e, p in model.probabilities.items()}
+        ),
+    }
+    for name, m in models.items():
+        batch = _batch_size(model if name == "certain" else m)
+        reference = ReplanGreedyPolicy(net, sink)
+        outcomes = [
+            walk_policy(
+                net, sample_realization(m, 7, stream=r), reference, source, sink, fc
+            )
+            for r in range(2 * batch + 1)
+        ]
+        if name == "certain":
+            monkeypatch.setattr(rng, "_uniform_blocks", None)
+        for reps in (batch - 1, batch + 1, 2 * batch + 1):
+            policy = ReplanGreedyPolicy(net, sink)
+            dist = simulate_policy(net, m, policy, source, sink, reps, 7, fc)
+            assert dist.times.tolist() == [o.travel_time for o in outcomes[:reps]]
+            assert dist.failed.tolist() == [o.failed for o in outcomes[:reps]]
 
 
 @pytest.mark.parametrize("variant", WALK_VARIANTS)
