@@ -13,9 +13,10 @@ float64 compare, then numpy packs the flags into the mask. So p_l = 1
 blocks the edge in every world and p_l = 0 opens it, and a model pinned
 as {**model.probabilities, edge_id: 1.0} keeps the edge's place and,
 under one seed, every other edge's state. sample_realization draws one
-world with rng.uniforms; sample_worlds draws a simulation's worlds a
-batch of replicates at a time with rng's numpy Philox, the same worlds
-bit for bit.
+world with rng.uniforms. sample_worlds draws a whole simulation, a batch
+of replicates at a time with rng's numpy Philox, and returns its
+distinct worlds and one index of each replicate's world: the same
+worlds bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ import enum
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
+from typing import Mapping
 
 import numpy as np
 
@@ -113,9 +115,19 @@ class BlockageModel:
                     f"probability for {edge_id!r} outside [0, 1]: {p!r}"
                 )
         object.__setattr__(self, "probabilities", probs)
-        # what sample_realization draws against, built at the first draw
-        # by _draw_of: a model is not changed after it is built
-        object.__setattr__(self, "_draw", None)
+
+    @cached_property
+    def _draw(self) -> tuple:
+        """(edge ids, probabilities, the one world if every edge is at 0
+        or 1, as u in [0, 1) makes u < 0 false and u < 1 true): what the
+        draws read, built at the first, as a model is not changed."""
+        probs = self.probabilities
+        p = np.fromiter(probs.values(), float, len(probs))
+        fixed = None
+        if set(probs.values()) <= {0, 1}:
+            packed = np.packbits(p == 1, bitorder="little")
+            fixed = _world(tuple(probs), int.from_bytes(packed, "little"))
+        return tuple(probs), p, fixed
 
     def probability(self, edge_id: str) -> float:
         try:
@@ -203,7 +215,7 @@ def sample_realization(
     dict is built until world.states is read. A model with every edge at
     0 or 1 returns its one world, built at its first draw, drawing nothing.
     """
-    edge_ids, p, fixed = model._draw or _draw_of(model)
+    edge_ids, p, fixed = model._draw
     if fixed is not None:
         return fixed
     uniforms = rng.uniforms(seed, rng.REALIZATIONS, stream, len(edge_ids))
@@ -213,27 +225,25 @@ def sample_realization(
 
 def sample_worlds(
     model: BlockageModel, seed: int, replications: int
-) -> Iterator[tuple[list[Realization], np.ndarray]]:
-    """The worlds of replicates 0 to replications - 1, a batch at a time.
+) -> tuple[list[Realization], np.ndarray]:
+    """The worlds of replicates 0 to replications - 1: the distinct
+    worlds, in the order they first appear, and an intp index holding
+    each replicate's world among them. Replicate r's world is
+    sample_realization(model, seed, stream=r), bit for bit.
 
-    For each batch, in replicate order, yields the worlds that first
-    appear in it, in the order they appear, and the index of each of its
-    replicates' world among the run's distinct worlds, numbered in order
-    of first appearance. Replicate r's world is sample_realization(model,
-    seed, stream=r), bit for bit.
-
-    The uniforms of a batch come from one numpy Philox pass
-    (rng._uniform_blocks) of about SAMPLE_BLOCK blocks, holding only the
-    blocks with an uncertain edge: an edge at 0 or 1 is blocked or open
-    whatever its uniform. Each batch's u < p flags are packed into
-    model-order masks, and a mask is made a world at its first sight
-    only. A model with every edge at 0 or 1 yields its one world and
+    The index is allocated before any draw, so a count past memory fails
+    at once. The uniforms come from numpy Philox passes
+    (rng._uniform_blocks) of about SAMPLE_BLOCK blocks each, holding only
+    the blocks with an uncertain edge: an edge at 0 or 1 is blocked or
+    open whatever its uniform. Each batch's u < p flags are packed into
+    model-order masks, numbered in the order they first appear, and each
+    distinct mask is made a world once. A model with every edge at 0 or 1 returns its one world and
     draws nothing.
     """
-    edge_ids, p, fixed = model._draw or _draw_of(model)
+    index = np.zeros(replications, dtype=np.intp)
+    edge_ids, p, fixed = model._draw
     if fixed is not None:
-        yield [fixed], np.zeros(replications, dtype=np.intp)
-        return
+        return [fixed], index
     uncertain = np.flatnonzero((p > 0) & (p < 1))
     blocks = np.unique(uncertain >> 2)
     # uncertain edge i's uniform is lane i % 4 of block i // 4
@@ -250,14 +260,11 @@ def sample_worlds(
         masks, at, inverse = np.unique(
             packed.view(mask_bytes).ravel(), return_index=True, return_inverse=True
         )
-        worlds, slots = [], np.empty(masks.size, dtype=np.intp)
-        for m in np.argsort(at):
-            mask = masks[m].tobytes()
-            if mask not in seen:
-                seen[mask] = len(seen)
-                worlds.append(_world(edge_ids, int.from_bytes(mask, "little")))
-            slots[m] = seen[mask]
-        yield worlds, slots[inverse]
+        order = np.argsort(at)
+        slots = np.empty(masks.size, dtype=np.intp)
+        slots[order] = [seen.setdefault(m, len(seen)) for m in masks[order].tolist()]
+        index[start : start + count] = slots[inverse]
+    return [_world(edge_ids, int.from_bytes(m, "little")) for m in seen], index
 
 
 def _world(edge_ids: tuple[str, ...], blocked: int) -> Realization:
@@ -267,20 +274,6 @@ def _world(edge_ids: tuple[str, ...], blocked: int) -> Realization:
     object.__setattr__(world, "edge_ids", edge_ids)
     object.__setattr__(world, "blocked", blocked)
     return world
-
-
-def _draw_of(model: BlockageModel) -> tuple:
-    """(edge ids, probabilities, the one world if every edge is at 0 or 1,
-    as u in [0, 1) makes u < 0 false and u < 1 true), kept on the model."""
-    probs = model.probabilities
-    fixed = None
-    if set(probs.values()) <= {0, 1}:
-        fixed = Realization(
-            {e: EdgeState.BLOCKED if q else EdgeState.OPEN for e, q in probs.items()}
-        )
-    draw = tuple(probs), np.fromiter(probs.values(), float, len(probs)), fixed
-    object.__setattr__(model, "_draw", draw)
-    return draw
 
 
 def csv_table(text: str) -> tuple[list[str], list[list[str]]]:

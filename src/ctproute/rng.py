@@ -17,11 +17,12 @@ A Philox stream is a function of its key and counter alone, so uniforms()
 draws a stream's first n uniforms without building a generator: it sets
 one reused Philox to the stream's key and a zero counter, under a lock,
 and draws. _uniform_blocks() goes further and computes Philox4x64-10
-itself in numpy (Salmon, Moraes, Dror & Shaw, SC'11), for many streams
-and counter blocks in one pass, bit for bit what uniforms() draws. A
-simulation takes its worlds' uniforms that way, a batch of replicates at
-a time; sample_realization, one world, takes them from uniforms(); the
-elicitation's normal draws build their generator with substream().
+itself in numpy (Salmon, Moraes, Dror & Shaw, SC'11), its ten rounds
+broadcast over many streams and counter blocks in one pass, bit for bit
+what uniforms() draws. A simulation takes its worlds' uniforms that way,
+a batch of replicates at a time; sample_realization, one world, takes
+them from uniforms(); the elicitation's normal draws build their
+generator with substream().
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ def _uniform_blocks(
     numpy's Philox increments its zero counter before each block, so
     block b is the ten rounds of Philox4x64-10 on the counter (b + 1, 0,
     0, 0) under the stream's key, computed here for every row and block
-    at once. Round 1 multiplies only the counter, and round 2's first
-    lane is the seed's key word, the same in every row; both are folded.
+    at once. Lanes x1 to x3 start one element wide and x0 one row wide,
+    and numpy broadcasting widens each to every row only once it mixes
+    in the stream's key word k1.
     """
     if start < 0 or start + count > 1 << _PURPOSE_SHIFT:
         bad = start if start < 0 else start + count - 1
@@ -123,16 +125,10 @@ def _uniform_blocks(
     k0 = seed & _MASK64
     k1 = np.arange(start, start + count, dtype=np.uint64)[:, None]
     k1 |= np.uint64(purpose << _PURPOSE_SHIFT)
-    # round 1 on (b + 1, 0, 0, 0) under (k0, k1) gives
-    # (k0, 0, hi(m0 (b + 1)) ^ k1, lo(m0 (b + 1)))
-    hi, lo = _mulhilo(m0, np.asarray(blocks, dtype=np.uint64) + _ONE)
-    # round 2, its key bumped once, on that
-    k0_hi, k0_lo = divmod(m0 * k0, 1 << 64)
-    x0, x1 = _mulhilo(m1, hi ^ k1)
-    x0 ^= np.uint64(k0 + w0 & _MASK64)
-    x2 = (lo ^ np.uint64(k0_hi)) ^ (k1 + np.uint64(w1))
-    x3 = np.uint64(k0_lo)
-    for r in range(2, 10):
+    # arrays, not numpy scalars: a uint64 scalar product that wraps warns
+    x0 = np.asarray(blocks, dtype=np.uint64) + _ONE
+    x1 = x2 = x3 = np.zeros(1, dtype=np.uint64)
+    for r in range(10):
         hi0, lo0 = _mulhilo(m0, x0)
         hi1, lo1 = _mulhilo(m1, x2)
         x0 = hi1 ^ x1 ^ np.uint64(k0 + r * w0 & _MASK64)

@@ -751,30 +751,20 @@ def simulate_policy(
 
     Replicate r's world is sample_realization(model, seed, stream=r), a
     function of the substream (seed, r) alone, so output is independent
-    of batching and worker count, and reruns are identical. The worlds
-    are drawn a batch at a time (blockage.sample_worlds); each distinct
-    world is walked once, through walk_policy, in the order it first
-    appears, and every replicate takes its world's outcome.
+    of batching and worker count, and reruns are identical. The run is
+    its distinct worlds plus one index of each replicate's world
+    (blockage.sample_worlds): each distinct world is walked once, through
+    walk_policy, in the order it first appears, and every replicate
+    takes its world's outcome.
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
-    # allocated before any draw: a count past memory fails at once, not
-    # after walking every batch that fits
-    index = np.empty(replications, dtype=np.intp)
-    times, failed, start = [], [], 0
-    for worlds, slots in sample_worlds(model, seed, replications):
-        for world in worlds:
-            outcome = walk_policy(net, world, policy, source, sink, failure_cost)
-            times.append(outcome.travel_time)
-            failed.append(outcome.failed)
-        index[start : start + slots.size] = slots
-        start += slots.size
-    return TravelTimeDistribution(
-        times=np.array(times, dtype=float)[index],
-        failed=np.array(failed, dtype=bool)[index],
-        failure_cost=failure_cost,
-        seed=seed,
-        policy_kind=policy.kind,
-    )
+    worlds, index = sample_worlds(model, seed, replications)
+    times, failed = [], []
+    for world in worlds:
+        outcome = walk_policy(net, world, policy, source, sink, failure_cost)
+        times.append(outcome.travel_time)
+        failed.append(outcome.failed)
+    return _distribution(times, failed, index, failure_cost, seed, policy.kind)
 
 
 def simulate_blocked_and_open(
@@ -792,14 +782,15 @@ def simulate_blocked_and_open(
     open, on common random numbers: equal to the two runs whose model
     pins edge_id at 1 and at 0.
 
-    Each distinct world, edge_id aside, is walked from the source with
-    the edge open, and again with it blocked only when that walk stood at
-    an end of the edge: until the first such arrival both worlds give
-    every belief the same masks, so a walk that never reveals the edge is
-    both runs' walk. A replicate whose world repeats copies the first
-    one's pair. Worlds come from the model with edge_id pinned open: the
-    same worlds with its bit clear, and one world drawing no uniform where
-    every other edge is certain.
+    Worlds come from the model with edge_id pinned open, one
+    sample_realization per replicate: the same worlds with its bit
+    clear, and one world drawing no uniform where every other edge is
+    certain. Like simulate_policy, the pair is its distinct worlds plus
+    one index of each replicate's world. Each distinct world is walked
+    from the source with the edge open, and again with it blocked only
+    when that walk stood at an end of the edge: until the first such
+    arrival both worlds give every belief the same masks, so a walk that
+    never reveals the edge is both runs' walk.
     """
     failure_cost = checked_journey(net, model, source, sink, failure_cost, replications)
     if edge_id not in net.edge_bit:
@@ -807,28 +798,37 @@ def simulate_blocked_and_open(
     edge = net.edge_by_id[edge_id]
     bit, ends = 1 << net.edge_bit[edge_id], {edge.u, edge.v}
     worlds = BlockageModel({**model.probabilities, edge_id: 0.0})
-    b_times, o_times = np.empty(replications), np.empty(replications)
-    b_failed = np.empty(replications, dtype=bool)
-    o_failed = np.empty(replications, dtype=bool)
+    index = np.empty(replications, dtype=np.intp)
     first: dict[int, int] = {}
+    b_times, b_failed, o_times, o_failed = [], [], [], []
     for r in range(replications):
-        # a world of a validated model holds every network edge
-        closed = _world_masks(net, sample_realization(worlds, seed, stream=r))[0]
-        r0 = first.setdefault(closed, r)
-        if r0 != r:
-            b_times[r], b_failed[r] = b_times[r0], b_failed[r0]
-            o_times[r], o_failed[r] = o_times[r0], o_failed[r0]
+        world = sample_realization(worlds, seed, stream=r)
+        i = index[r] = first.setdefault(world.blocked, len(first))
+        if i < len(o_times):
             continue
+        # a world of a validated model holds every network edge
+        closed = _world_masks(net, world)[0]
         opened = blocked = _walk(net, closed, 0, policy, source, sink, failure_cost)
         if not ends.isdisjoint(opened.path):
             blocked = _walk(net, closed | bit, 0, policy, source, sink, failure_cost)
-        b_times[r], b_failed[r] = blocked.travel_time, blocked.failed
-        o_times[r], o_failed[r] = opened.travel_time, opened.failed
+        b_times.append(blocked.travel_time)
+        b_failed.append(blocked.failed)
+        o_times.append(opened.travel_time)
+        o_failed.append(opened.failed)
+    return (
+        _distribution(b_times, b_failed, index, failure_cost, seed, policy.kind),
+        _distribution(o_times, o_failed, index, failure_cost, seed, policy.kind),
+    )
 
-    def distribution(times: np.ndarray, failed: np.ndarray) -> TravelTimeDistribution:
-        return TravelTimeDistribution(times, failed, failure_cost, seed, policy.kind)
 
-    return distribution(b_times, b_failed), distribution(o_times, o_failed)
+def _distribution(
+    times: list, failed: list, index: np.ndarray, failure_cost: float, seed: int,
+    kind: str,
+) -> TravelTimeDistribution:
+    """The run whose replicate r took the outcome of distinct world
+    index[r], given each distinct world's time and failed flag."""
+    times, failed = np.array(times, dtype=float), np.array(failed, dtype=bool)
+    return TravelTimeDistribution(times[index], failed[index], failure_cost, seed, kind)
 
 
 def evaluate_policy_exact(

@@ -339,14 +339,22 @@ class TestMonteCarloCentrality:
         # the pair draws each replicate's world once for both its runs;
         # they must be the two separate simulate_policy runs with the road
         # pinned blocked and pinned open, and each row what they give
-        # under either failure handling
+        # under either failure handling, on the grid's model and on one
+        # listing its roads in another order than the network
         seen = set()
         for seed in range(5):
-            net, model, source, sink = oracles.random_grid(
+            net, nominal, source, sink = oracles.random_grid(
                 seed, rows=3, cols=3, uncertain=4, directed=directed
             )
+            ids = list(nominal.probabilities)
+            order = np.random.default_rng(seed).permutation(len(ids))
+            shuffled = BlockageModel(
+                {ids[i]: nominal.probabilities[ids[i]] for i in order}
+            )
+            assert tuple(shuffled.probabilities) != net.edge_ids
             fc = default_failure_cost(net)
-            for i, edge in enumerate(net.edges):
+            cases = [(model, edge) for model in (nominal, shuffled) for edge in net.edges]
+            for i, (model, edge) in enumerate(cases):
                 reps = 1 if i % 4 == 0 else 12
                 cond = _conditioned_model(net, model, edge.id, mode)
                 policy = _CountingPolicy(OptimalPolicy(net, cond, sink, fc))

@@ -709,6 +709,21 @@ class TestSimulation:
         assert np.all(dist.times == 2.0)
         assert dist.failure_frequency == 0.0
 
+    def test_an_edgeless_network_fails_every_replicate_drawing_nothing(
+        self, monkeypatch
+    ):
+        # an empty model is a certain one: its one world is drawn from no
+        # uniform, and no road leaves the source
+        monkeypatch.setattr(rng, "_uniform_blocks", None)
+        net = make_network([], extra_nodes=("S", "T"))
+        for policy in (
+            ReplanGreedyPolicy(net, "T"),
+            OptimalPolicy(net, BlockageModel({}), "T", 0.0),
+        ):
+            dist = simulate_policy(net, BlockageModel({}), policy, "S", "T", 5, seed=1)
+            assert dist.times.tolist() == [0.0] * 5
+            assert dist.failed.tolist() == [True] * 5
+
     def test_bit_identical_reruns(self):
         net, model = tri_fixture()
         policy = OptimalPolicy(net, model, "T", 44.0)
