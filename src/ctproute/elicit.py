@@ -39,9 +39,12 @@ from .errors import (
 DEFAULT_EPS = 1e-6
 PSD_TOLERANCE = 1e-10
 
-# probabilities the pushforward summarises at once (64 KiB of float64):
-# its temporaries stay small however many roads and draws there are
+# probabilities the pushforward summarises at once (64 KiB of float64),
+# or one whole row when a row holds more: at 16,000 draws a block is 125
+# KiB. Its temporaries stay small however many roads there are
 PUSHFORWARD_BLOCK = 8192
+# the quantiles the pushforward reports per road
+_QUANTILES = (0.05, 0.5, 0.95)
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,10 @@ def _normal_draws(
     k = prior.mean.size
     if factor.shape[0] != k:
         raise DimensionMismatch("covariance size does not match the mean")
+    # numpy refuses a shape past any address space with a ValueError
+    # before it tries to allocate; it is the same failure
+    if count * k * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate {count} draws of {k} coefficients")
     noise = gen.standard_normal((count, k))
     return prior.mean + noise @ factor.T
 
@@ -252,31 +259,67 @@ def mixture_moments(
 def pushforward_probabilities(
     Z: CovariateMatrix, sample: BetaSample
 ) -> tuple[RoadProbabilitySummary, ...]:
-    """Per road blockage probability summaries implied by a beta sample."""
+    """Per road blockage probability summaries implied by a beta sample:
+    the mean, and np.quantile's default linear quantiles, over the draws."""
     draws = np.asarray(sample.draws, dtype=float)
     if draws.ndim != 2 or draws.shape[1] != Z.k:
         raise DimensionMismatch(
             f"draws have shape {draws.shape}, want (m, {Z.k})"
         )
+    if draws.shape[0] < 1:
+        raise ValidationError("need at least one draw")
     # one product for all roads (a product per block of rows would not
     # give the same bits), then whole rows of it a block at a time
     logits = Z.values @ draws.T
-    rows = max(1, PUSHFORWARD_BLOCK // max(1, logits.shape[1]))
+    rows = max(1, PUSHFORWARD_BLOCK // logits.shape[1])
     summaries = []
     for start in range(0, Z.n, rows):
         probs = expit(logits[start : start + rows])
-        q05, q50, q95 = np.quantile(probs, (0.05, 0.5, 0.95), axis=1)
-        summaries.extend(
-            RoadProbabilitySummary(
-                edge_id=Z.edge_ids[start + i],
-                mean=float(np.mean(row)),
-                q05=float(q05[i]),
-                median=float(q50[i]),
-                q95=float(q95[i]),
-            )
-            for i, row in enumerate(probs)
-        )
+        # the means first: pairwise summation depends on the order that
+        # the selection below leaves the rows in. A row's mean is NaN
+        # exactly when the row holds a NaN, since every other entry lies
+        # in [0, 1]
+        means = probs.mean(axis=1)
+        if probs.shape[1] < 3 or np.isnan(means).any():
+            q05, q50, q95 = np.quantile(probs, _QUANTILES, axis=1)
+        else:
+            q05, q50, q95 = _staged_quantiles(probs)
+        columns = (c.tolist() for c in (means, q05, q50, q95))
+        summaries.extend(map(RoadProbabilitySummary, Z.edge_ids[start:], *columns))
     return tuple(summaries)
+
+
+def _staged_quantiles(probs: np.ndarray) -> list[np.ndarray]:
+    """np.quantile(probs, _QUANTILES, axis=1) bit for bit, for rows of at
+    least 3 values and no NaN, reordering each row of probs in place.
+
+    numpy's default linear method (Hyndman & Fan's type 7) interpolates
+    between the order statistics floor(v) and floor(v) + 1 at v = (n - 1)q.
+    numpy partitions at all six and at the row's ends at once; here each
+    row is partitioned at the median's floor, then its lower part at the
+    5% floor and its upper part at the 95% floor, three single pivot
+    selections. Between two pivots lie the values of the ranks between
+    them, so a floor's upper neighbour is the least value after it up to
+    the next pivot, that pivot included, or up to the end of the row.
+    With n >= 3 every floor is below n - 1.
+    """
+    n = probs.shape[1]
+    virtual = (n - 1) * np.array(_QUANTILES)
+    floors = np.floor(virtual)
+    l05, l50, l95 = (int(f) for f in floors)
+    probs.partition(l50, axis=1)
+    probs[:, :l50].partition(l05, axis=1)
+    if l95 > l50:  # equal only at n = 3
+        probs[:, l50 + 1 :].partition(l95 - l50 - 1, axis=1)
+    ends = (l50, l95 if l95 > l50 else n - 1, n - 1)
+    out = []
+    for low, end, t in zip((l05, l50, l95), ends, virtual - floors):
+        a = probs[:, low]
+        b = probs[:, low + 1 : end + 1].min(axis=1)
+        # numpy's _lerp, the form chosen by t
+        diff = b - a
+        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
+    return out
 
 
 def read_expert_draws_csv(text: str) -> dict[str, dict[str, float]]:

@@ -41,6 +41,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import rng
 from .blockage import BlockageModel, Realization, sample_realization, sample_worlds
 from .errors import (
     BadRoute,
@@ -92,6 +93,13 @@ def checked_journey(
         raise ValidationError("source and sink must differ")
     if replications < 1:
         raise ValidationError("replications must be at least 1")
+    # replicate r draws stream r; a count past them is refused before
+    # numpy is asked for an index past any address space
+    if replications > 1 << rng._PURPOSE_SHIFT:
+        raise ValidationError(
+            f"replications must be at most 2**{rng._PURPOSE_SHIFT}, one "
+            f"stream each: {replications}"
+        )
     return checked_failure_cost(net, failure_cost)
 
 

@@ -8,6 +8,7 @@ import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -1037,13 +1038,13 @@ def test_inputs_with_a_byte_order_mark_read_as_plain(capsys, tmp_path):
     assert outs["utf-8-sig"] == outs["utf-8"]
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["simulate", "route --method mc", "centrality --method mc", "elicit --pushforward"],
-)
-def test_unallocatable_reps_exit_2_with_one_line(capsys, tmp_path, command):
-    # 2**55 replicates is a valid stream index, but its per-replicate
-    # arrays are past any 64-bit address space, so allocation fails at once
+MONTE_CARLO_COMMANDS = [
+    "simulate", "route --method mc", "centrality --method mc", "elicit --pushforward"
+]
+
+
+def monte_carlo_argv(tmp_path, command):
+    """argv of a Monte Carlo command on small inputs, and its output files."""
     graph, cov, expert = tmp_path / "g.json", tmp_path / "z.csv", tmp_path / "x.csv"
     out_file, push = tmp_path / "out", tmp_path / "push.csv"
     graph.write_text(TRI_DOC, encoding="utf-8")
@@ -1055,11 +1056,38 @@ def test_unallocatable_reps_exit_2_with_one_line(capsys, tmp_path, command):
     else:
         argv = [*command.split(), "--graph", str(graph), "--source", "S",
                 "--sink", "T", "--output", str(out_file)]
+    return argv, (out_file, push)
+
+
+@pytest.mark.parametrize("command", MONTE_CARLO_COMMANDS)
+def test_unallocatable_reps_exit_2_with_one_line(capsys, tmp_path, command):
+    # 2**55 replicates is a valid stream index, but its per-replicate
+    # arrays are past any 64-bit address space, so allocation fails at once
+    argv, outputs = monte_carlo_argv(tmp_path, command)
     rc, out, err = run(capsys, [*argv, "--reps", str(2**55)])
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "allocate" in err
-    assert not out_file.exists() and not push.exists()
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("command", MONTE_CARLO_COMMANDS)
+def test_reps_past_any_array_exit_2_with_one_line(capsys, tmp_path, command):
+    # numpy refuses an array of 2**62 replicates, or of 2**62 draws, with a
+    # ValueError before it tries to allocate; the count is refused first,
+    # so the run allocates nothing large
+    argv, outputs = monte_carlo_argv(tmp_path, command)
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, [*argv, "--reps", str(2**62)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(2**62) in err
+    assert not any(path.exists() for path in outputs)
+    assert peak < 2**20
 
 
 class TestConsoleScript:

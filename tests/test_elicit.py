@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -373,6 +374,8 @@ class TestPushforward:
         sample = BetaSample(draws=np.array([[0.1]]))
         with pytest.raises(DimensionMismatch):
             pushforward_probabilities(Z, sample)
+        with pytest.raises(ValidationError, match="at least one draw"):
+            pushforward_probabilities(Z, BetaSample(draws=np.empty((0, 2))))
 
     @pytest.mark.parametrize("block", [1, 5, 64, elicit.PUSHFORWARD_BLOCK])
     def test_blocks_give_the_bits_of_the_whole_table(self, monkeypatch, block):
@@ -394,6 +397,28 @@ class TestPushforward:
             got = pushforward_probabilities(Z, BetaSample(draws))
             assert [(s.mean, s.q05, s.median, s.q95) for s in got] == want
 
+    def test_a_nan_logit_gives_numpys_nan_quantiles(self, monkeypatch):
+        # np.quantile makes every quantile of a row holding a NaN a NaN,
+        # where selection alone would give numbers below the NaN. The
+        # infinite draw makes road 0's logit inf - inf and the other two
+        # roads' logits +inf; the product flags an invalid operation
+        Z = matrix([[1.0, 1.0], [1.0, -1.0], [2.0, -0.5]])
+        gen = np.random.default_rng(4)
+        draws = np.vstack([[np.inf, -np.inf], gen.normal(size=(40, 2))])
+        with np.errstate(invalid="ignore"):
+            probs = expit(Z.values @ draws.T)
+        assert np.isnan(probs[0, 0]) and (probs[1:, 0] == 1.0).all()
+        want = np.quantile(probs, (0.05, 0.5, 0.95), axis=1)
+        for block in (1, elicit.PUSHFORWARD_BLOCK):
+            monkeypatch.setattr(elicit, "PUSHFORWARD_BLOCK", block)
+            with np.errstate(invalid="ignore"):
+                got = pushforward_probabilities(Z, BetaSample(draws))
+            road = got[0]
+            for v in (road.mean, road.q05, road.median, road.q95, *want[:, 0]):
+                assert math.isnan(v)
+            for s, row, a, b, c in zip(got[1:], probs[1:], *want[:, 1:]):
+                assert (s.mean, s.q05, s.median, s.q95) == (np.mean(row), a, b, c)
+
     def test_pushforward_holds_one_table_at_its_peak(self):
         # only the product spans every road and draw; expit, the quantiles
         # and the means see one block of rows at a time
@@ -409,6 +434,46 @@ class TestPushforward:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * table
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=3000),
+    roads=st.integers(min_value=1, max_value=5),
+    block=st.sampled_from([1, 7, 64, elicit.PUSHFORWARD_BLOCK]),
+    ties=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+# 0.95 (n - 1) is a whole number at n = 21, so q95's weight is 0; n = 3
+# puts the median's and q95's floors at one index
+@example(m=1, roads=2, block=1, ties=False, seed=0)
+@example(m=2, roads=3, block=64, ties=True, seed=1)
+@example(m=3, roads=4, block=7, ties=False, seed=2)
+@example(m=4, roads=2, block=1, ties=True, seed=3)
+@example(m=20, roads=5, block=64, ties=False, seed=4)
+@example(m=21, roads=5, block=7, ties=True, seed=5)
+@example(m=21, roads=3, block=elicit.PUSHFORWARD_BLOCK, ties=False, seed=6)
+@example(m=2999, roads=3, block=elicit.PUSHFORWARD_BLOCK, ties=True, seed=7)
+def test_pushforward_gives_numpys_quantile_and_mean_bits(m, roads, block, ties, seed):
+    # Z is the identity, so the logits are the drawn values exactly; ties
+    # draw from a few values, and logits of +-1000 give probabilities of
+    # exactly 0 and 1
+    gen = np.random.default_rng(seed)
+    if ties:
+        draws = gen.integers(-2, 3, size=(m, roads)) * 0.75
+    else:
+        draws = gen.normal(size=(m, roads)) * 3
+    draws[gen.random((m, roads)) < 0.1] = 1000.0
+    draws[gen.random((m, roads)) < 0.1] = -1000.0
+    Z = matrix(np.eye(roads))
+    probs = expit(draws.T)
+    q05, q50, q95 = np.quantile(probs, (0.05, 0.5, 0.95), axis=1)
+    want = [
+        (np.mean(row), a, b, c) for row, a, b, c in zip(probs, q05, q50, q95)
+    ]
+    with mock.patch.object(elicit, "PUSHFORWARD_BLOCK", block):
+        got = pushforward_probabilities(Z, BetaSample(draws))
+    assert [(s.mean, s.q05, s.median, s.q95) for s in got] == want
 
 
 @settings(max_examples=60, deadline=None)
